@@ -1,16 +1,17 @@
 """Double-tier patch encoder: conv local branch + windowed-attention global branch.
 
 Both branches downsample the input by x8 so their grids align; their outputs
-are concatenated channel-wise into one feature map. A set of projection and
-prediction heads maps pooled features into the embedding spaces used by the
-contrastive losses. Student and teacher carry identical parameter shapes;
-teacher parameters never require gradients.
+are concatenated channel-wise into one feature map. Projection heads `g_*`
+map pooled features into the embedding spaces used by the contrastive losses;
+prediction heads `p_*` sit on top of them on the student side only. The
+teacher is the student minus its prediction heads, under the same keys, and
+its parameters never require gradients.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -103,24 +104,16 @@ def init_backbone(
     return p
 
 
-def init_heads(rng: np.random.Generator, cfg: ArchConfig, role: str) -> dict:
-    """Projection/prediction heads for one branch ('student' or 'teacher')."""
+def init_heads(rng: np.random.Generator, cfg: ArchConfig) -> dict:
+    """Student heads: projections `g_sg`/`g_so`/`g_sp`, predictors `p_sg`/`p_so`."""
     cfg.validate()
-    if role not in ("student", "teacher"):
-        raise ConfigError(f"unknown role {role!r}")
-    requires_grad = role == "student"
     c, d, k = cfg.feature_dim, cfg.embed_dim, cfg.parts
     p: dict[str, Tensor] = {}
-    if role == "student":
-        _mlp_init(rng, p, "g_sg", c, d, d, requires_grad)
-        _mlp_init(rng, p, "p_sg", d, d, d, requires_grad)
-        _linear_init(rng, p, "g_so", c, k, requires_grad)
-        _mlp_init(rng, p, "g_sp", c, d, d, requires_grad)
-        _mlp_init(rng, p, "p_so", d, d, d, requires_grad)
-    else:
-        _mlp_init(rng, p, "g_tg", c, d, d, requires_grad)
-        _linear_init(rng, p, "g_to", c, k, requires_grad)
-        _mlp_init(rng, p, "g_tp", c, d, d, requires_grad)
+    _mlp_init(rng, p, "g_sg", c, d, d, True)
+    _mlp_init(rng, p, "p_sg", d, d, d, True)
+    _linear_init(rng, p, "g_so", c, k, True)
+    _mlp_init(rng, p, "g_sp", c, d, d, True)
+    _mlp_init(rng, p, "p_so", d, d, d, True)
     return p
 
 
@@ -156,20 +149,29 @@ def _roll(x: Tensor, shift: int, axis: int) -> Tensor:
     return T.concat([x[tuple(idx_a)], x[tuple(idx_b)]], axis=axis)
 
 
+def _qkv(x: Tensor, params: dict, prefix: str, heads: int) -> Tensor:
+    """(B, T, C) tokens -> stacked (3, B, heads, T, dh) queries, keys, values."""
+    b, t, c = x.shape
+    qkv = _linear(x, params, f"{prefix}_qkv")  # (B, T, 3C)
+    return T.transpose(qkv.reshape(b, t, 3, heads, c // heads), (2, 0, 3, 1, 4))
+
+
+def attention_weights(q: Tensor, k: Tensor, bias: Tensor | None = None) -> Tensor:
+    """Row-softmax of scaled q.k logits plus an optional logit bias: (B, heads, T, T)."""
+    logits = (q @ T.swapaxes(k, -1, -2)) * (1.0 / math.sqrt(q.shape[-1]))
+    if bias is not None:
+        logits = logits + bias
+    return T.softmax(logits, axis=-1)
+
+
 def multihead_attention(
     x: Tensor, params: dict, prefix: str, heads: int, bias: Tensor | None = None
 ) -> Tensor:
     """Standard MSA over (B, T, C) tokens; optional (heads, T, T) logit bias."""
     b, t, c = x.shape
-    dh = c // heads
-    qkv = _linear(x, params, f"{prefix}_qkv")  # (B, T, 3C)
-    qkv = T.transpose(qkv.reshape(b, t, 3, heads, dh), (2, 0, 3, 1, 4))
-    q, k, v = qkv[0], qkv[1], qkv[2]  # (B, heads, T, dh)
-    logits = (q @ T.swapaxes(k, -1, -2)) * (1.0 / math.sqrt(dh))
-    if bias is not None:
-        logits = logits + bias
-    attn = T.softmax(logits, axis=-1)
-    mixed = attn @ v  # (B, heads, T, dh)
+    qkv = _qkv(x, params, prefix, heads)
+    attn = attention_weights(qkv[0], qkv[1], bias)
+    mixed = attn @ qkv[2]  # (B, heads, T, dh)
     mixed = T.transpose(mixed, (0, 2, 1, 3)).reshape(b, t, c)
     return _linear(mixed, params, f"{prefix}_proj")
 
@@ -243,37 +245,22 @@ def gap(m: Tensor) -> Tensor:
     return m.mean(axis=(-3, -2))
 
 
-def global_embed(m: Tensor, heads: dict, branch: str) -> Tensor:
-    """Pooled-embedding path: student applies projection then prediction."""
-    pooled = gap(m)
-    if branch == "student":
-        return _mlp(_mlp(pooled, heads, "g_sg"), heads, "p_sg")
-    if branch == "teacher":
-        return _mlp(pooled, heads, "g_tg")
-    raise ConfigError(f"unknown branch {branch!r}")
+def global_embed(m: Tensor, heads: dict) -> Tensor:
+    """Pooled-embedding path: GAP, then the global projection `g_sg`."""
+    return _mlp(gap(m), heads, "g_sg")
 
 
-def part_attention(m: Tensor, heads: dict, branch: str, cfg: ArchConfig):
+def part_attention(m: Tensor, heads: dict, cfg: ArchConfig):
     """Spatial-part pooling: per-part softmax attention over grid locations.
 
     Returns (A, Z): A is (..., h*w, K) with each part's column summing to 1
-    over locations; Z is (..., K, D) part embeddings.
+    over locations (logits from `g_so`); Z is (..., K, D) part projections (`g_sp`).
     """
     if cfg.parts < 1:
         raise ConfigError(f"parts count must be >= 1, got {cfg.parts}")
     lead = m.shape[:-3]
     h, w, c = m.shape[-3:]
     flat = m.reshape(lead + (h * w, c))
-    if branch == "student":
-        logits = _linear(flat, heads, "g_so")
-    elif branch == "teacher":
-        logits = _linear(flat, heads, "g_to")
-    else:
-        raise ConfigError(f"unknown branch {branch!r}")
-    attn = T.softmax(logits, axis=-2)  # over spatial locations, per part
+    attn = T.softmax(_linear(flat, heads, "g_so"), axis=-2)  # over locations, per part
     parts = T.swapaxes(attn, -1, -2) @ flat  # (..., K, C)
-    if branch == "student":
-        z = _mlp(_mlp(parts, heads, "g_sp"), heads, "p_so")
-    else:
-        z = _mlp(parts, heads, "g_tp")
-    return attn, z
+    return attn, _mlp(parts, heads, "g_sp")

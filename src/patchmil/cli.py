@@ -90,10 +90,8 @@ def _ssl_config_from_args(args, loss_terms=None) -> S.SSLConfig:
             gamma=args.gamma, lam=args.lam, epsilon=args.epsilon, momentum=args.momentum
         ),
         loss_terms=tuple(loss_terms if loss_terms is not None else args.loss.split(",")),
-        symmetrize=args.symmetrize,
         epochs=args.epochs,
         batch_size=args.batch_size,
-        optimizer=args.optimizer,
         lr=args.lr,
         seed=args.seed,
     )
@@ -336,9 +334,23 @@ def cmd_export_attention(args) -> int:
 # -- parser -----------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
+class _CommandParser(argparse.ArgumentParser):
+    """A subcommand parser that records the dest of every flag it defines."""
+
+    def __init__(self, *args, **kwargs):
+        self.dests: set[str] = set()
+        super().__init__(*args, **kwargs)
+
+    def add_argument(self, *args, **kwargs):
+        action = super().add_argument(*args, **kwargs)
+        self.dests.add(action.dest)
+        return action
+
+
+def build_parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The top-level parser and its {command: subcommand parser} map."""
     parser = argparse.ArgumentParser(prog="patchmil")
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
 
     def common(p, corpus=True):
         p.add_argument("--seed", type=int, default=0)
@@ -359,14 +371,12 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--epochs", type=int, default=30)
             p.add_argument("--batch-size", type=int, default=64)
         p.add_argument("--lr", type=float, default=3e-4)
-        p.add_argument("--optimizer", default="adam", choices=("adam", "sgd"))
         p.add_argument("--loss", default="global,parts,var,cov")
         p.add_argument("--gamma", type=float, default=5.0)
         p.add_argument("--lam", type=float, default=0.005)
         p.add_argument("--epsilon", type=float, default=1e-4)
         p.add_argument("--momentum", type=float, default=0.99)
         p.add_argument("--parts", type=int, default=4)
-        p.add_argument("--symmetrize", action="store_true")
 
     p = sub.add_parser("pretrain", help="self-supervised encoder training")
     common(p)
@@ -423,24 +433,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--limit", type=int, default=16)
     p.set_defaults(func=cmd_export_attention)
 
-    return parser
+    return parser, sub.choices
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
+    parser, commands = build_parser()
     # first pass only to find --config; its values become flag defaults
     probe = argparse.ArgumentParser(add_help=False)
     probe.add_argument("--config", default=None)
     known, _ = probe.parse_known_args(argv)
-    if known.config:
+    command = next((a for a in argv if a in commands), None)
+    if known.config and command:
         overrides = json.loads(Path(known.config).read_text())
-        command = next((a for a in argv if not a.startswith("-")), None)
-        choices = parser._subparsers._group_actions[0].choices
-        if command in choices:
-            choices[command].set_defaults(
-                **{k: v for k, v in overrides.items() if k != "command"}
-            )
+        overrides.pop("command", None)
+        unknown = sorted(set(overrides) - commands[command].dests)
+        if unknown:
+            print(f"usage error: {known.config} sets {', '.join(unknown)}, "
+                  f"which '{command}' has no flag for", file=sys.stderr)
+            return 2
+        commands[command].set_defaults(**overrides)
     args = parser.parse_args(argv)
     try:
         return args.func(args)

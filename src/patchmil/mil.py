@@ -10,15 +10,14 @@ are kept as ablation baselines.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import tensor as T
-from .backbone import _layernorm, _linear, _mlp_init, _linear_init, _kaiming_uniform, multihead_attention
+from .backbone import _layernorm, _linear, _linear_init, _qkv, attention_weights, multihead_attention
 from .errors import ConfigError, ContractViolation
-from .tensor import Tensor
+from .tensor import Adam, Tensor
 
 POOLING_KINDS = ("adaptive", "max", "mean", "soft", "gated_attention")
 
@@ -99,6 +98,15 @@ def _bias_index(positions: np.ndarray, radius: int) -> np.ndarray:
     return delta[..., 0] * span + delta[..., 1]
 
 
+def _position_bias(positions: np.ndarray, params: dict, blk: int, cfg: MILConfig):
+    """(B, heads, I, I) logit bias of block `blk` for (B, I, 2) positions, or None."""
+    if not cfg.use_position_bias:
+        return None
+    idx = _bias_index(positions, cfg.bias_radius)  # (B, I, I)
+    table = params[f"msa{blk}_bias"]  # (heads, span^2)
+    return T.transpose(table[:, idx], (1, 0, 2, 3))
+
+
 def msa_refine(instances, positions: np.ndarray, params: dict, cfg: MILConfig) -> Tensor:
     """Contextual refinement of (B, I, C) or (I, C) instances."""
     x = T.as_tensor(instances)
@@ -106,13 +114,8 @@ def msa_refine(instances, positions: np.ndarray, params: dict, cfg: MILConfig) -
     if squeeze:
         x = x.reshape((1,) + x.shape)
         positions = positions[None]
-    b, i, c = x.shape
     for blk in range(cfg.depth):
-        bias = None
-        if cfg.use_position_bias:
-            idx = _bias_index(positions, cfg.bias_radius)  # (B, I, I)
-            table = params[f"msa{blk}_bias"]  # (heads, span^2)
-            bias = T.transpose(table[:, idx], (1, 0, 2, 3))  # (B, heads, I, I)
+        bias = _position_bias(positions, params, blk, cfg)
         normed = _layernorm(x, params[f"msa{blk}_ln1_g"], params[f"msa{blk}_ln1_b"])
         x = x + multihead_attention(normed, params, f"msa{blk}", cfg.heads, bias=bias)
         normed = _layernorm(x, params[f"msa{blk}_ln2_g"], params[f"msa{blk}_ln2_b"])
@@ -193,35 +196,6 @@ def cross_entropy(logits, labels) -> Tensor:
     return (log_norm - picked).mean()
 
 
-class Adam:
-    def __init__(self, params: dict, lr: float = 1e-3, betas=(0.9, 0.999), eps: float = 1e-8,
-                 weight_decay: float = 0.0):
-        self.params = params
-        self.lr = lr
-        self.b1, self.b2 = betas
-        self.eps = eps
-        self.weight_decay = weight_decay
-        self.t = 0
-        self.m = {k: np.zeros_like(p.data) for k, p in params.items()}
-        self.v = {k: np.zeros_like(p.data) for k, p in params.items()}
-
-    def step(self) -> float:
-        self.t += 1
-        sq = 0.0
-        for key, p in self.params.items():
-            g = p.grad if p.grad is not None else np.zeros_like(p.data)
-            sq += float((g * g).sum())
-            if self.weight_decay:
-                g = g + self.weight_decay * p.data
-            m = self.m[key] = self.b1 * self.m[key] + (1 - self.b1) * g
-            v = self.v[key] = self.b2 * self.v[key] + (1 - self.b2) * g * g
-            mhat = m / (1 - self.b1**self.t)
-            vhat = v / (1 - self.b2**self.t)
-            p.data -= self.lr * mhat / (np.sqrt(vhat) + self.eps)
-            p.grad = None
-        return math.sqrt(sq)
-
-
 def _group_by_size(bags):
     groups: dict[int, list[int]] = {}
     for i, bag in enumerate(bags):
@@ -250,7 +224,7 @@ def train_mil(train_bags, val_bags, cfg: MILConfig, progress=None):
         raise ContractViolation("train_mil needs at least one training bag")
     rng = np.random.default_rng(cfg.seed)
     params = init_mil(rng, cfg)
-    opt = Adam(params, lr=cfg.lr, weight_decay=cfg.weight_decay)
+    opt = Adam(params, weight_decay=cfg.weight_decay)
     history = []
     best = {k: p.data.copy() for k, p in params.items()}
     best_acc = -1.0
@@ -267,7 +241,7 @@ def train_mil(train_bags, val_bags, cfg: MILConfig, progress=None):
                 pos = np.stack([train_bags[i].positions for i in chunk])
                 loss = cross_entropy(bag_logits(inst, pos, params, cfg), labels[chunk])
                 loss.backward()
-                opt.step()
+                opt.step(cfg.lr)
                 losses.append(loss.item())
         train_preds = evaluate_bags(train_bags, params, cfg)
         train_acc = float((train_preds == labels).mean())
@@ -291,17 +265,9 @@ def attention_report(bag: Bag, params: dict, cfg: MILConfig):
     """Adaptive-pool weights (I, C) and MSA attention maps (heads, I, I) for export."""
     refined = msa_refine(bag.instances, bag.positions, params, cfg)
     _, weights = adaptive_pool(refined, params, cfg, return_weights=True)
-    # recompute the first block's attention matrix for the raw map export
+    # block 0's attention: same layer norm, q/k and position bias as msa_refine
     x = T.as_tensor(bag.instances).reshape((1,) + bag.instances.shape)
     normed = _layernorm(x, params["msa0_ln1_g"], params["msa0_ln1_b"])
-    b, t, c = normed.shape
-    dh = c // cfg.heads
-    qkv = _linear(normed, params, "msa0_qkv")
-    qkv = T.transpose(qkv.reshape(b, t, 3, cfg.heads, dh), (2, 0, 3, 1, 4))
-    q, k = qkv[0], qkv[1]
-    logits = (q @ T.swapaxes(k, -1, -2)) * (1.0 / math.sqrt(dh))
-    if cfg.use_position_bias:
-        idx = _bias_index(bag.positions[None], cfg.bias_radius)
-        logits = logits + T.transpose(params["msa0_bias"][:, idx], (1, 0, 2, 3))
-    attn = T.softmax(logits, axis=-1).numpy()[0]
-    return weights.numpy(), attn
+    qkv = _qkv(normed, params, "msa0", cfg.heads)
+    bias = _position_bias(bag.positions[None], params, 0, cfg)
+    return weights.numpy(), attention_weights(qkv[0], qkv[1], bias).numpy()[0]

@@ -13,7 +13,6 @@ import numpy as np
 from . import backbone as bb
 from . import data as D
 from . import mil as ML
-from . import selfsup as S
 from . import tensor as T
 from .errors import ConfigError
 
@@ -91,7 +90,7 @@ def finetune_mil(
     encoder = {k: T.parameter(np.array(p.data, copy=True)) for k, p in init_params.items()}
     mil_params = ML.init_mil(np.random.default_rng(cfg.seed), cfg)
     trainable = {**encoder, **{f"mil:{k}": v for k, v in mil_params.items()}}
-    opt = S.Adam(trainable, weight_decay=cfg.weight_decay)
+    opt = T.Adam(trainable, weight_decay=cfg.weight_decay)
 
     def forward(batch_images):
         tiles = np.concatenate([D.tile_image(img, arch.side)[0] for img in batch_images])

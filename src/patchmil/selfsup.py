@@ -1,16 +1,19 @@
 """Self-supervised training of the double-tier encoder.
 
-A student branch (encoder + projection/prediction heads) is trained against a
-momentum teacher on two augmented views of each patch. The objective combines
-a global cosine loss, a per-part cosine loss, and variance/covariance
-regularizers that keep the embedding batch from collapsing.
+A student branch (encoder + projection and prediction heads) is trained
+against a momentum teacher on two augmented views of each patch. The teacher
+is the student without its prediction heads `p_*`: the same encoder and
+projection-head keys, updated as an exponential moving average of the
+student. The objective combines a global cosine loss, a per-part cosine loss,
+and variance/covariance regularizers that keep the embedding batch from
+collapsing.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import ndimage
@@ -18,7 +21,7 @@ from scipy import ndimage
 from . import backbone as bb
 from . import tensor as T
 from .errors import ConfigError, ContractViolation, NumericError
-from .tensor import Tensor
+from .tensor import Adam, Tensor
 
 LOSS_TERMS = ("global", "parts", "var", "cov")
 
@@ -41,7 +44,6 @@ class LossWeights:
 class ViewPair:
     view_s: np.ndarray
     view_t: np.ndarray
-    source_id: int = 0
 
 
 @dataclass(frozen=True)
@@ -49,12 +51,9 @@ class SSLConfig:
     arch: bb.ArchConfig = field(default_factory=bb.ArchConfig)
     weights: LossWeights = field(default_factory=LossWeights)
     loss_terms: tuple = LOSS_TERMS
-    symmetrize: bool = False
     epochs: int = 30
     batch_size: int = 64
-    optimizer: str = "adam"
     lr: float = 3e-4
-    sgd_momentum: float = 0.9
     weight_decay: float = 1e-4
     seed: int = 0
 
@@ -66,8 +65,6 @@ class SSLConfig:
             raise ConfigError(f"unknown loss terms {sorted(unknown)}")
         if "global" not in self.loss_terms:
             raise ConfigError("the global cosine term cannot be toggled off")
-        if self.optimizer not in ("adam", "sgd"):
-            raise ConfigError(f"unknown optimizer {self.optimizer!r}; valid: adam, sgd")
 
 
 # ---------------------------------------------------------------------------
@@ -141,9 +138,9 @@ def augment_view(patch: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     return np.ascontiguousarray(np.clip(img, 0.0, 1.0))
 
 
-def augment(patch: np.ndarray, rng: np.random.Generator, source_id: int = 0) -> ViewPair:
+def augment(patch: np.ndarray, rng: np.random.Generator) -> ViewPair:
     """Two independent augmented views of one source patch."""
-    return ViewPair(augment_view(patch, rng), augment_view(patch, rng), source_id)
+    return ViewPair(augment_view(patch, rng), augment_view(patch, rng))
 
 
 # ---------------------------------------------------------------------------
@@ -223,24 +220,18 @@ def total_loss(components: dict, weights: LossWeights) -> Tensor:
 # momentum teacher
 # ---------------------------------------------------------------------------
 
-_TEACHER_TO_STUDENT = {"g_tg": "g_sg", "g_to": "g_so", "g_tp": "g_sp"}
-
-
-def _student_key(teacher_key: str, student: dict) -> str:
-    if teacher_key in student:
-        return teacher_key
-    for t_prefix, s_prefix in _TEACHER_TO_STUDENT.items():
-        if teacher_key.startswith(t_prefix):
-            return s_prefix + teacher_key[len(t_prefix) :]
-    raise ContractViolation(f"no student twin for teacher parameter '{teacher_key}'")
-
 
 def momentum_update(student: dict, teacher: dict, m: float) -> None:
-    """teacher <- m * teacher + (1 - m) * student, scalar-wise, in place."""
+    """teacher <- m * teacher + (1 - m) * student, scalar-wise, in place.
+
+    Every teacher key must name a student parameter of the same shape.
+    """
     if not 0.0 <= m < 1.0:
         raise ContractViolation(f"momentum must be in [0, 1), got {m}")
     for key, eta in teacher.items():
-        theta = student[_student_key(key, student)]
+        if key not in student:
+            raise ContractViolation(f"no student twin for teacher parameter '{key}'")
+        theta = student[key]
         if theta.shape != eta.shape:
             raise ContractViolation(
                 f"shape mismatch for '{key}': student {theta.shape} vs teacher {eta.shape}"
@@ -249,76 +240,8 @@ def momentum_update(student: dict, teacher: dict, m: float) -> None:
 
 
 # ---------------------------------------------------------------------------
-# optimizer
+# schedule, training state and step
 # ---------------------------------------------------------------------------
-
-
-class SGDMomentum:
-    """Plain SGD with heavy-ball momentum and decoupled L2 weight decay."""
-
-    def __init__(self, params: dict, momentum: float = 0.9, weight_decay: float = 1e-4):
-        self.params = params
-        self.momentum = momentum
-        self.weight_decay = weight_decay
-        self.velocity = {k: np.zeros_like(p.data) for k, p in params.items()}
-
-    def step(self, lr: float) -> float:
-        """Apply one update; returns the global gradient norm."""
-        sq = 0.0
-        for key, p in self.params.items():
-            g = p.grad if p.grad is not None else np.zeros_like(p.data)
-            sq += float((g * g).sum())
-            g = g + self.weight_decay * p.data
-            v = self.velocity[key]
-            v *= self.momentum
-            v += g
-            p.data -= lr * v
-            p.grad = None
-        return math.sqrt(sq)
-
-    def zero_grad(self):
-        for p in self.params.values():
-            p.grad = None
-
-
-class Adam:
-    """Adam with bias correction and L2 weight decay; lr is passed per step.
-
-    The conv stack conditions the gradient badly at this scale (bias terms
-    receive most of the raw gradient), so per-parameter step normalization is
-    what actually trains the encoder weights; plain SGD leaves them nearly
-    untouched.
-    """
-
-    def __init__(self, params: dict, betas=(0.9, 0.999), eps: float = 1e-8,
-                 weight_decay: float = 1e-4):
-        self.params = params
-        self.b1, self.b2 = betas
-        self.eps = eps
-        self.weight_decay = weight_decay
-        self.t = 0
-        self.m = {k: np.zeros_like(p.data) for k, p in params.items()}
-        self.v = {k: np.zeros_like(p.data) for k, p in params.items()}
-
-    def step(self, lr: float) -> float:
-        """Apply one update; returns the global gradient norm."""
-        self.t += 1
-        sq = 0.0
-        for key, p in self.params.items():
-            g = p.grad if p.grad is not None else np.zeros_like(p.data)
-            sq += float((g * g).sum())
-            g = g + self.weight_decay * p.data
-            m = self.m[key] = self.b1 * self.m[key] + (1 - self.b1) * g
-            v = self.v[key] = self.b2 * self.v[key] + (1 - self.b2) * g * g
-            mhat = m / (1 - self.b1**self.t)
-            vhat = v / (1 - self.b2**self.t)
-            p.data -= lr * mhat / (np.sqrt(vhat) + self.eps)
-            p.grad = None
-        return math.sqrt(sq)
-
-    def zero_grad(self):
-        for p in self.params.values():
-            p.grad = None
 
 
 def cosine_lr(base: float, step: int, total_steps: int) -> float:
@@ -326,11 +249,6 @@ def cosine_lr(base: float, step: int, total_steps: int) -> float:
         return base
     t = min(step, total_steps) / total_steps
     return base * 0.5 * (1.0 + math.cos(math.pi * t))
-
-
-# ---------------------------------------------------------------------------
-# training state and step
-# ---------------------------------------------------------------------------
 
 
 class SSLState:
@@ -341,33 +259,27 @@ class SSLState:
         self.cfg = cfg
         rng = np.random.default_rng(cfg.seed)
         self.student = bb.init_backbone(rng, cfg.arch)
-        self.student_heads = bb.init_heads(rng, cfg.arch, "student")
+        self.student_heads = bb.init_heads(rng, cfg.arch)
         self.teacher = bb.clone_as_teacher(self.student)
-        # teacher heads start as exact copies of their student twins
-        self.teacher_heads = {}
-        for t_prefix, s_prefix in _TEACHER_TO_STUDENT.items():
-            for key, p in self.student_heads.items():
-                if key.startswith(s_prefix):
-                    self.teacher_heads[t_prefix + key[len(s_prefix) :]] = T.parameter(
-                        p.data.copy(), requires_grad=False
-                    )
+        # the teacher has the student's projection heads, not its predictors
+        self.teacher_heads = bb.clone_as_teacher(
+            {k: v for k, v in self.student_heads.items() if not k.startswith("p_")}
+        )
         trainable = {**self.student, **{f"head:{k}": v for k, v in self.student_heads.items()}}
-        if cfg.optimizer == "adam":
-            self.optimizer = Adam(trainable, weight_decay=cfg.weight_decay)
-        else:
-            self.optimizer = SGDMomentum(trainable, cfg.sgd_momentum, cfg.weight_decay)
+        self.optimizer = Adam(trainable, weight_decay=cfg.weight_decay)
         self.step_count = 0
 
     def student_forward(self, views: np.ndarray):
         m = bb.embed_patch(views, self.student, self.cfg.arch)
-        z_g = bb.global_embed(m, self.student_heads, "student")
-        _, z_o = bb.part_attention(m, self.student_heads, "student", self.cfg.arch)
-        return z_g, z_o
+        heads = self.student_heads
+        z_g = bb.global_embed(m, heads)
+        _, z_o = bb.part_attention(m, heads, self.cfg.arch)
+        return bb._mlp(z_g, heads, "p_sg"), bb._mlp(z_o, heads, "p_so")
 
     def teacher_forward(self, views: np.ndarray):
         m = bb.embed_patch(views, self.teacher, self.cfg.arch)
-        z_g = bb.global_embed(m, self.teacher_heads, "teacher")
-        _, z_o = bb.part_attention(m, self.teacher_heads, "teacher", self.cfg.arch)
+        z_g = bb.global_embed(m, self.teacher_heads)
+        _, z_o = bb.part_attention(m, self.teacher_heads, self.cfg.arch)
         return z_g, z_o
 
 
@@ -392,11 +304,6 @@ def pretrain_step(views_s: np.ndarray, views_t: np.ndarray, state: SSLState, lr:
     if views_s.shape[0] < 2:
         raise ContractViolation("pretrain_step needs a batch of at least 2 view pairs")
     terms = _pair_terms(state, views_s, views_t)
-    if state.cfg.symmetrize:
-        swapped = _pair_terms(state, views_t, views_s)
-        for key in ("global", "parts"):
-            if key in terms:
-                terms[key] = 0.5 * (terms[key] + swapped[key])
     loss = total_loss(terms, state.cfg.weights)
     loss.backward()
     grad_norm = state.optimizer.step(lr)
@@ -428,6 +335,7 @@ def pretrain(
     total_steps = cfg.epochs * steps_per_epoch
     writer = None
     log_file = None
+    report: dict = {}  # stays empty when no batch holds 2 or more patches
     if log_path is not None:
         log_file = open(log_path, "w", newline="")
         writer = csv.writer(log_file)
@@ -442,7 +350,7 @@ def pretrain(
                 views_s = np.empty((idx.size,) + patches.shape[1:])
                 views_t = np.empty_like(views_s)
                 for row, i in enumerate(idx):
-                    pair = augment(patches[i], rng, source_id=int(i))
+                    pair = augment(patches[i], rng)
                     views_s[row] = pair.view_s
                     views_t[row] = pair.view_t
                 lr = cosine_lr(cfg.lr, state.step_count, total_steps)
@@ -454,7 +362,7 @@ def pretrain(
                         + [f"{lr:.6f}", f"{report['grad_norm']:.6f}"]
                     )
             if progress is not None:
-                progress(epoch, report if total_steps else {})
+                progress(epoch, report)
     finally:
         if log_file is not None:
             log_file.close()

@@ -105,9 +105,6 @@ class Tensor:
 
     # -- graph construction ------------------------------------------------
 
-    def _tracked(self, *parents: "Tensor") -> bool:
-        return any(p.requires_grad or p._parents for p in parents)
-
     @staticmethod
     def _make(data, parents, op, backward) -> "Tensor":
         tracked = any(p.requires_grad or p._parents for p in parents)
@@ -219,6 +216,44 @@ def as_tensor(value) -> Tensor:
 
 def parameter(data, requires_grad: bool = True) -> Tensor:
     return Tensor(_as_array(data), requires_grad=requires_grad)
+
+
+class Adam:
+    """Adam with bias correction and L2 weight decay; lr is passed per step.
+
+    The conv stack conditions the gradient badly at this scale (bias terms
+    receive most of the raw gradient), so per-parameter step normalization is
+    what actually trains the encoder weights.
+    """
+
+    def __init__(self, params: dict, betas=(0.9, 0.999), eps: float = 1e-8,
+                 weight_decay: float = 1e-4):
+        self.params = params
+        self.b1, self.b2 = betas
+        self.eps = eps
+        self.weight_decay = weight_decay
+        self.t = 0
+        self.m = {k: np.zeros_like(p.data) for k, p in params.items()}
+        self.v = {k: np.zeros_like(p.data) for k, p in params.items()}
+
+    def step(self, lr: float) -> float:
+        """Apply one update and clear the grads; returns the raw gradient norm.
+
+        A leaf whose grad is None counts as a zero gradient.
+        """
+        self.t += 1
+        sq = 0.0
+        for key, p in self.params.items():
+            g = p.grad if p.grad is not None else np.zeros_like(p.data)
+            sq += float((g * g).sum())
+            g = g + self.weight_decay * p.data
+            m = self.m[key] = self.b1 * self.m[key] + (1 - self.b1) * g
+            v = self.v[key] = self.b2 * self.v[key] + (1 - self.b2) * g * g
+            mhat = m / (1 - self.b1**self.t)
+            vhat = v / (1 - self.b2**self.t)
+            p.data -= lr * mhat / (np.sqrt(vhat) + self.eps)
+            p.grad = None
+        return math.sqrt(sq)
 
 
 # ---------------------------------------------------------------------------

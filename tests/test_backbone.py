@@ -24,15 +24,15 @@ SMALL = B.ArchConfig(
 def make(cfg=CFG, seed=0):
     rng = np.random.default_rng(seed)
     params = B.init_backbone(rng, cfg)
-    student = B.init_heads(rng, cfg, "student")
-    teacher = B.init_heads(rng, cfg, "teacher")
+    student = B.init_heads(rng, cfg)
+    teacher = B.clone_as_teacher({k: v for k, v in student.items() if not k.startswith("p_")})
     return params, student, teacher
 
 
-def identity_heads(cfg, role="student"):
+def identity_heads(cfg):
     """Heads whose linear maps are (truncated) identities with zero bias."""
     rng = np.random.default_rng(0)
-    heads = B.init_heads(rng, cfg, role)
+    heads = B.init_heads(rng, cfg)
     for name, p in heads.items():
         if name.endswith("_b"):
             p.data[...] = 0.0
@@ -91,21 +91,21 @@ class TestGlobalEmbed:
         _, student, _ = make()
         v = np.random.default_rng(5).uniform(size=128)
         m = T.Tensor(np.broadcast_to(v, (4, 4, 128)).copy())
-        out = B.global_embed(m, student, "student")
-        direct = B._mlp(B._mlp(T.Tensor(v), student, "g_sg"), student, "p_sg")
+        out = B.global_embed(m, student)
+        direct = B._mlp(T.Tensor(v), student, "g_sg")
         np.testing.assert_allclose(out.data, direct.data, atol=1e-12)
 
     def test_identity_heads_truncate_gap(self):
-        heads = identity_heads(CFG, "student")
+        heads = identity_heads(CFG)
         m = T.Tensor(np.abs(np.random.default_rng(6).normal(size=(4, 4, 128))))
-        out = B.global_embed(m, heads, "student")
+        out = B.global_embed(m, heads)
         np.testing.assert_allclose(out.data, B.gap(m).data[:64], atol=1e-12)
 
     def test_teacher_path_tracks_no_gradients(self):
         params, _, teacher = make()
         tp = B.clone_as_teacher(params)
         m = B.embed_patch(np.random.default_rng(7).uniform(size=(32, 32, 3)), tp, CFG)
-        z = B.global_embed(m, teacher, "teacher")
+        z = B.global_embed(m, teacher)
         assert z._parents == () and z._backward is None
 
 
@@ -115,33 +115,33 @@ class TestPartAttention:
         student["g_so_w"].data[...] = 0.0
         student["g_so_b"].data[...] = 0.0
         m = T.Tensor(np.random.default_rng(8).normal(size=(4, 4, 128)))
-        attn, _ = B.part_attention(m, student, "student", CFG)
+        attn, _ = B.part_attention(m, student, CFG)
         np.testing.assert_allclose(attn.data, np.full((16, 4), 1 / 16), atol=1e-12)
 
     def test_columns_sum_to_one(self):
         _, student, _ = make()
         m = T.Tensor(np.random.default_rng(9).normal(size=(4, 4, 128)))
-        attn, _ = B.part_attention(m, student, "student", CFG)
+        attn, _ = B.part_attention(m, student, CFG)
         np.testing.assert_allclose(attn.data.sum(axis=0), np.ones(4), atol=1e-6)
 
     def test_one_hot_attention_limit(self):
-        heads = identity_heads(CFG, "student")
+        heads = identity_heads(CFG)
         # channel 0 spikes at one location; 50-logit margin saturates softmax
         m = np.zeros((4, 4, 128))
         m[2, 3, :] = 1.0
         m[2, 3, 0] = 1.0
         heads["g_so_w"].data[...] = 0.0
         heads["g_so_w"].data[0, :] = 50.0
-        attn, z = B.part_attention(T.Tensor(m), heads, "student", CFG)
+        attn, z = B.part_attention(T.Tensor(m), heads, CFG)
         flat = m.reshape(16, 128)
         j = 2 * 4 + 3
         np.testing.assert_allclose(attn.data[j], np.ones(4), atol=1e-9)
         np.testing.assert_allclose(z.data, np.tile(flat[j, :64], (4, 1)), atol=1e-9)
 
     def test_matches_dense_multiply_oracle(self):
-        heads = identity_heads(CFG, "student")
+        heads = identity_heads(CFG)
         m = np.abs(np.random.default_rng(10).normal(size=(4, 4, 128)))
-        attn, z = B.part_attention(T.Tensor(m), heads, "student", CFG)
+        attn, z = B.part_attention(T.Tensor(m), heads, CFG)
         flat = m.reshape(16, 128)
         expected = np.einsum("jk,jc->kc", attn.data, flat)[:, :64]
         np.testing.assert_allclose(z.data, expected, atol=1e-9)
@@ -165,13 +165,13 @@ class TestGradients:
 
     def test_head_gradients(self):
         rng = np.random.default_rng(12)
-        heads = B.init_heads(rng, SMALL, "student")
+        heads = B.init_heads(rng, SMALL)
         m = T.Tensor(rng.normal(size=(2, 2, SMALL.feature_dim)))
 
         def loss(t):
             trial = dict(heads)
             trial["g_so_w"] = t
-            _, z = B.part_attention(m, trial, "student", SMALL)
+            _, z = B.part_attention(m, trial, SMALL)
             return (z * z).sum()
 
         err = T.check_gradient(loss, heads["g_so_w"].data, step=1e-5)

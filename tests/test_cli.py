@@ -218,6 +218,17 @@ class TestPretrain:
             k: v for k, v in b.items() if k != "out"
         }
 
+    def test_config_key_without_flag_rejected(self, corpus, pretrain_run, tmp_path, capsys):
+        config = json.loads((pretrain_run / "config.json").read_text())
+        config.update(optimizer="sgd", symmetrize=True)
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps(config))
+        run = tmp_path / "r"
+        code = main(["pretrain", "--config", str(path), "--corpus", str(corpus), "--out", str(run)])
+        assert code == 2
+        assert "optimizer, symmetrize" in capsys.readouterr().err
+        assert not run.exists()
+
 
 class TestMIL:
     def test_run_artifacts(self, mil_run):

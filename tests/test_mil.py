@@ -280,9 +280,31 @@ class TestTrainMil:
     def test_attention_report_shapes(self):
         cfg = M.MILConfig(feature_dim=16, heads=2)
         params = make_params(cfg)
+        table = params["msa0_bias"].data
+        table[...] = np.random.default_rng(25).normal(size=table.shape)
         bag = random_bag(cfg, i=4, seed=24)
         weights, attn = M.attention_report(bag, params, cfg)
         assert weights.shape == (4, 16)
         assert attn.shape == (2, 4, 4)
         np.testing.assert_allclose(weights.sum(axis=0), np.ones(16), atol=1e-6)
         np.testing.assert_allclose(attn.sum(axis=-1), np.ones((2, 4)), atol=1e-6)
+        np.testing.assert_allclose(attn, self._block0_attention(bag, params, cfg), atol=1e-12)
+
+    @staticmethod
+    def _block0_attention(bag, params, cfg):
+        """Reference: block 0's position-biased attention softmax in float64 numpy."""
+        x = np.asarray(bag.instances, dtype=np.float64)
+        mu = x.mean(axis=-1, keepdims=True)
+        var = ((x - mu) ** 2).mean(axis=-1, keepdims=True)
+        normed = (x - mu) / np.sqrt(var + 1e-5) * params["msa0_ln1_g"].data + params["msa0_ln1_b"].data
+        qkv = normed @ params["msa0_qkv_w"].data + params["msa0_qkv_b"].data
+        n, c = x.shape
+        dh = c // cfg.heads
+        qkv = qkv.reshape(n, 3, cfg.heads, dh)
+        q, k = qkv[:, 0].transpose(1, 0, 2), qkv[:, 1].transpose(1, 0, 2)  # (heads, I, dh)
+        logits = q @ k.transpose(0, 2, 1) / np.sqrt(dh)
+        r, span = cfg.bias_radius, 2 * cfg.bias_radius + 1
+        delta = np.clip(bag.positions[:, None] - bag.positions[None], -r, r) + r
+        logits = logits + params["msa0_bias"].data[:, delta[..., 0] * span + delta[..., 1]]
+        e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+        return e / e.sum(axis=-1, keepdims=True)

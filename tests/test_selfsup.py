@@ -235,11 +235,21 @@ class TestMomentumUpdate:
         expected = theta + (eta0 - theta) * 0.99**100
         np.testing.assert_allclose(teacher["w"].data, expected, atol=1e-5)
 
-    def test_head_key_mapping(self):
+    def test_teacher_heads_are_student_heads_minus_predictors(self):
+        cfg = S.SSLConfig(arch=SMALL_ARCH, epochs=1, batch_size=4, seed=5)
+        state = S.SSLState(cfg)
+        student = state.student_heads
+        assert any(k.startswith("p_") for k in student)
+        assert list(state.teacher_heads) == [k for k in student if not k.startswith("p_")]
+        for key, p in state.teacher_heads.items():
+            np.testing.assert_array_equal(p.data, student[key].data)
+            assert p is not student[key] and not p.requires_grad
+
+    def test_key_without_student_twin_raises(self):
         student = {"g_sg_1_w": T.parameter([2.0])}
         teacher = {"g_tg_1_w": T.parameter([0.0], requires_grad=False)}
-        S.momentum_update(student, teacher, 0.5)
-        np.testing.assert_allclose(teacher["g_tg_1_w"].data, [1.0])
+        with pytest.raises(ContractViolation, match="g_tg_1_w"):
+            S.momentum_update(student, teacher, 0.5)
 
     def test_shape_mismatch_raises(self):
         student = {"w": T.parameter([1.0, 2.0])}
@@ -311,8 +321,7 @@ class TestPretrainStep:
             h[f"{prefix}_1_b"].data[...] = 100.0
             h[f"{prefix}_2_w"].data[...] = np.eye(h[f"{prefix}_2_w"].shape[0])
             h[f"{prefix}_2_b"].data[...] = -100.0
-        for key, p in state.teacher_heads.items():
-            p.data[...] = state.student_heads[S._student_key(key, state.student_heads)].data
+        # the teacher starts as the student minus its predictors
         terms = S._pair_terms(state, views, views)
         assert abs(terms["global"].item()) < 1e-9
         assert abs(terms["parts"].item()) < 1e-9
@@ -353,3 +362,12 @@ class TestPretrainStep:
             rng.uniform(size=(4, 16, 16, 3)), rng.uniform(size=(4, 16, 16, 3)), state, 0.01
         )
         assert report["parts"] == 0.0 and report["var"] == 0.0 and report["cov"] == 0.0
+
+
+class TestPretrainLoop:
+    def test_progress_without_a_full_batch_gets_empty_report(self):
+        cfg = S.SSLConfig(arch=SMALL_ARCH, epochs=2, batch_size=4, seed=5)
+        calls = []
+        state = S.pretrain(np.zeros((1, 16, 16, 3)), cfg, progress=lambda e, r: calls.append((e, r)))
+        assert calls == [(0, {}), (1, {})]
+        assert state.step_count == 0

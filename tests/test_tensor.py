@@ -198,3 +198,45 @@ class TestDeterminism:
         with T.default_dtype(np.float32):
             assert T.Tensor([1.0]).data.dtype == np.float32
         assert T.Tensor([1.0]).data.dtype == np.float64  # fixture default
+
+
+class TestAdam:
+    """The shared optimizer's first step against its closed form."""
+
+    LR, WD, EPS = 0.1, 0.01, 1e-8
+
+    def make(self):
+        gen = rng()
+        params = {"w": T.parameter(gen.normal(size=(3, 4))), "b": T.parameter(gen.normal(size=4))}
+        grads = {"w": gen.normal(size=(3, 4)), "b": gen.normal(size=4)}
+        for key, p in params.items():
+            p.grad = grads[key].copy()
+        return params, grads
+
+    def test_first_step_closed_form(self):
+        params, grads = self.make()
+        before = {k: p.data.copy() for k, p in params.items()}
+        T.Adam(params, eps=self.EPS, weight_decay=self.WD).step(self.LR)
+        for key, p in params.items():
+            # at t = 1 bias correction gives m_hat = g' and sqrt(v_hat) = |g'|
+            g = grads[key] + self.WD * before[key]
+            expected = before[key] - self.LR * g / (np.abs(g) + self.EPS)
+            np.testing.assert_allclose(p.data, expected, rtol=1e-12, atol=1e-15)
+            assert p.grad is None
+
+    def test_returns_norm_of_raw_gradient(self):
+        params, grads = self.make()
+        norm = T.Adam(params, weight_decay=self.WD).step(self.LR)
+        raw = np.sqrt(sum((g * g).sum() for g in grads.values()))
+        assert norm == pytest.approx(raw, rel=1e-12)
+
+    def test_missing_grad_is_zero_gradient(self):
+        still = T.parameter([1.0, -2.0])
+        assert T.Adam({"p": still}, weight_decay=0.0).step(self.LR) == 0.0
+        np.testing.assert_array_equal(still.data, [1.0, -2.0])
+        # with decay, wd * p is the whole gradient
+        decayed = T.parameter([1.0, -2.0])
+        assert T.Adam({"p": decayed}, eps=self.EPS, weight_decay=self.WD).step(self.LR) == 0.0
+        g = self.WD * np.array([1.0, -2.0])
+        expected = np.array([1.0, -2.0]) - self.LR * g / (np.abs(g) + self.EPS)
+        np.testing.assert_allclose(decayed.data, expected, rtol=1e-12)
