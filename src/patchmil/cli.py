@@ -23,7 +23,7 @@ from . import metrics as MM
 from . import mil as ML
 from . import pipeline as P
 from . import selfsup as S
-from .errors import ConfigError, ContractViolation, FormatError, NumericError
+from .errors import ConfigError, ContractViolation, FormatError, NumericError, WorkerError
 
 TABLE2_LOSS_ROWS = (
     ("global",),
@@ -445,7 +445,15 @@ def main(argv=None) -> int:
     known, _ = probe.parse_known_args(argv)
     command = next((a for a in argv if a in commands), None)
     if known.config and command:
-        overrides = json.loads(Path(known.config).read_text())
+        try:
+            overrides = json.loads(Path(known.config).read_text())
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+            print(f"usage error: cannot read --config {known.config}: {exc}", file=sys.stderr)
+            return 2
+        if not isinstance(overrides, dict):
+            print(f"usage error: {known.config} holds a JSON {type(overrides).__name__}, "
+                  "not an object of flag values", file=sys.stderr)
+            return 2
         overrides.pop("command", None)
         unknown = sorted(set(overrides) - commands[command].dests)
         if unknown:
@@ -459,7 +467,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (ContractViolation, NumericError, FormatError, OSError) as exc:
+    except (ContractViolation, NumericError, FormatError, OSError, WorkerError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -15,3 +15,7 @@ class ConfigError(ValueError):
 
 class FormatError(ValueError):
     """A malformed on-disk container (bad magic, version, truncated payload)."""
+
+
+class WorkerError(RuntimeError):
+    """A worker process exited without delivering its result or an error."""

@@ -7,20 +7,33 @@ projection-head keys, updated as an exponential moving average of the
 student. The objective combines a global cosine loss, a per-part cosine loss,
 and variance/covariance regularizers that keep the embedding batch from
 collapsing.
+
+`pretrain` makes the augmented views of `view_batches` in one worker process,
+forked from the caller (so it needs the `fork` start method) and at most
+PREFETCH batches ahead of the training step, which runs in the caller. The
+worker is killed and joined when `pretrain` returns or raises.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import math
+import mmap
+import multiprocessing as mp
+import pickle
+import signal
+import traceback
+from contextlib import closing
 from dataclasses import dataclass, field
+from multiprocessing.connection import wait
 
 import numpy as np
 from scipy import ndimage
 
 from . import backbone as bb
 from . import tensor as T
-from .errors import ConfigError, ContractViolation, NumericError
+from .errors import ConfigError, ContractViolation, NumericError, WorkerError
 from .tensor import Adam, Tensor
 
 LOSS_TERMS = ("global", "parts", "var", "cov")
@@ -317,6 +330,124 @@ def pretrain_step(views_s: np.ndarray, views_t: np.ndarray, state: SSLState, lr:
     return report
 
 
+def _epoch_batches(n: int, batch_size: int) -> list:
+    """Slices of one epoch's permutation that hold a batch of 2 or more patches."""
+    steps = max(1, n // batch_size)
+    ends = [min(n, (s + 1) * batch_size) for s in range(steps)]
+    return [slice(s * batch_size, end) for s, end in enumerate(ends) if end - s * batch_size >= 2]
+
+
+def view_batches(patches: np.ndarray, cfg: SSLConfig):
+    """Yield the (views_s, views_t) batches of `pretrain`, in its draw order.
+
+    The generator owns `default_rng(cfg.seed + 1)`: one permutation of the
+    patches per epoch, then two `augment` views per patch, batch by batch.
+    """
+    rng = np.random.default_rng(cfg.seed + 1)
+    n = patches.shape[0]
+    batches = _epoch_batches(n, cfg.batch_size)
+    for _ in range(cfg.epochs):
+        order = rng.permutation(n)
+        for batch in batches:
+            idx = order[batch]
+            views_s = np.empty((idx.size,) + patches.shape[1:])
+            views_t = np.empty_like(views_s)
+            for row, i in enumerate(idx):
+                pair = augment(patches[i], rng)
+                views_s[row] = pair.view_s
+                views_t[row] = pair.view_t
+            yield views_s, views_t
+
+
+# ---------------------------------------------------------------------------
+# augmentation worker
+# ---------------------------------------------------------------------------
+
+PREFETCH = 2  # batches the augmentation worker may run ahead of the training step
+
+
+class _RemoteTraceback(Exception):
+    """The worker's formatted traceback, chained as the cause of its re-raised error."""
+
+    def __str__(self):
+        return self.args[0]
+
+
+def _augment_worker(patches, cfg, slots, conn, parent_end) -> None:
+    """Child process body: write the `view_batches` into the slots, one message each.
+
+    Batch k goes to slot k % PREFETCH once the parent has sent back the slot
+    of batch k - PREFETCH. An error is sent as (exception, traceback text).
+    """
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # on Ctrl-C the parent ends this process
+    parent_end.close()  # so that the parent's death reads as EOF here
+    try:
+        for k, (views_s, views_t) in enumerate(view_batches(patches, cfg)):
+            if k >= PREFETCH:
+                conn.recv()
+            size = views_s.shape[0]
+            slots[k % PREFETCH, 0, :size] = views_s
+            slots[k % PREFETCH, 1, :size] = views_t
+            conn.send((size, None))
+    except (EOFError, ConnectionResetError):
+        pass  # the parent has gone
+    except Exception as exc:
+        try:
+            pickle.loads(pickle.dumps(exc))
+        except Exception:
+            exc = RuntimeError(f"{type(exc).__name__}: {exc}")
+        conn.send((0, (exc, traceback.format_exc())))
+
+
+def _receive(conn, proc):
+    """The worker's next message; raises WorkerError if it exited without one."""
+    wait([conn, proc.sentinel])
+    if conn.poll():
+        try:
+            return conn.recv()
+        except (EOFError, ConnectionResetError):  # reset: the worker died with our tokens unread
+            pass
+    proc.join()
+    raise WorkerError(f"the augmentation worker exited with code {proc.exitcode} without a batch")
+
+
+def _forked_view_batches(patches: np.ndarray, cfg: SSLConfig, total: int):
+    """Yield the `total` batches of `view_batches`, made in one forked child.
+
+    The child inherits `patches` without pickling and writes each batch into
+    one of PREFETCH shared-memory slots; the parent copies it out and sends
+    the slot back. Closing the generator kills and joins the child.
+    """
+    ctx = mp.get_context("fork")
+    shape = (PREFETCH, 2, min(patches.shape[0], cfg.batch_size)) + patches.shape[1:]
+    slots = np.frombuffer(mmap.mmap(-1, 8 * math.prod(shape)), np.float64).reshape(shape)
+    conn, child_conn = ctx.Pipe()
+    proc = ctx.Process(
+        target=_augment_worker, args=(patches, cfg, slots, child_conn, conn), daemon=True
+    )
+    proc.start()
+    child_conn.close()
+    try:
+        for k in range(total):
+            size, error = _receive(conn, proc)
+            if error is not None:
+                exc, tb = error
+                raise exc from _RemoteTraceback(tb)
+            slot = slots[k % PREFETCH]
+            views_s, views_t = slot[0, :size].copy(), slot[1, :size].copy()
+            if k + PREFETCH < total:
+                try:
+                    conn.send(None)  # the slot is free for batch k + PREFETCH
+                except OSError:
+                    pass  # the worker has died; the next _receive says how
+            yield views_s, views_t
+    finally:
+        proc.kill()
+        proc.join()
+        proc.close()
+        conn.close()
+
+
 def pretrain(
     patches: np.ndarray,
     cfg: SSLConfig,
@@ -325,14 +456,15 @@ def pretrain(
 ) -> SSLState:
     """Full pretraining loop over an array of (P, side, side, 3) patches.
 
-    Writes a per-step CSV loss log when `log_path` is given.
+    The augmented views come from `view_batches` run in one forked worker
+    process, so augmentation overlaps the training steps. Writes a per-step
+    CSV loss log when `log_path` is given.
     """
     cfg.validate()
     state = SSLState(cfg)
-    rng = np.random.default_rng(cfg.seed + 1)
     n = patches.shape[0]
-    steps_per_epoch = max(1, n // cfg.batch_size)
-    total_steps = cfg.epochs * steps_per_epoch
+    total_steps = cfg.epochs * max(1, n // cfg.batch_size)
+    per_epoch = len(_epoch_batches(n, cfg.batch_size))
     writer = None
     log_file = None
     report: dict = {}  # stays empty when no batch holds 2 or more patches
@@ -341,28 +473,19 @@ def pretrain(
         writer = csv.writer(log_file)
         writer.writerow(["step", "L_global", "L_parts", "L_var", "L_cov", "L_all", "lr", "grad_norm"])
     try:
-        for epoch in range(cfg.epochs):
-            order = rng.permutation(n)
-            for s in range(steps_per_epoch):
-                idx = order[s * cfg.batch_size : (s + 1) * cfg.batch_size]
-                if idx.size < 2:
-                    continue
-                views_s = np.empty((idx.size,) + patches.shape[1:])
-                views_t = np.empty_like(views_s)
-                for row, i in enumerate(idx):
-                    pair = augment(patches[i], rng)
-                    views_s[row] = pair.view_s
-                    views_t[row] = pair.view_t
-                lr = cosine_lr(cfg.lr, state.step_count, total_steps)
-                report = pretrain_step(views_s, views_t, state, lr)
-                if writer is not None:
-                    writer.writerow(
-                        [state.step_count]
-                        + [f"{report[k]:.6f}" for k in ("global", "parts", "var", "cov", "all")]
-                        + [f"{lr:.6f}", f"{report['grad_norm']:.6f}"]
-                    )
-            if progress is not None:
-                progress(epoch, report)
+        with closing(_forked_view_batches(patches, cfg, cfg.epochs * per_epoch)) as batches:
+            for epoch in range(cfg.epochs):
+                for views_s, views_t in itertools.islice(batches, per_epoch):
+                    lr = cosine_lr(cfg.lr, state.step_count, total_steps)
+                    report = pretrain_step(views_s, views_t, state, lr)
+                    if writer is not None:
+                        writer.writerow(
+                            [state.step_count]
+                            + [f"{report[k]:.6f}" for k in ("global", "parts", "var", "cov", "all")]
+                            + [f"{lr:.6f}", f"{report['grad_norm']:.6f}"]
+                        )
+                if progress is not None:
+                    progress(epoch, report)
     finally:
         if log_file is not None:
             log_file.close()

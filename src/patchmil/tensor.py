@@ -528,14 +528,31 @@ def concat(tensors: Sequence, axis: int = 0) -> Tensor:
     return Tensor._make(data, tuple(tensors), "concat", backward)
 
 
+def _is_basic_index(idx) -> bool:
+    """True for an int, slice, None, Ellipsis or a tuple of these: no repeated positions."""
+    parts = idx if isinstance(idx, tuple) else (idx,)
+    return all(
+        p is None or p is Ellipsis or isinstance(p, slice)
+        or (isinstance(p, (int, np.integer)) and not isinstance(p, bool))
+        for p in parts
+    )
+
+
 def take(a, idx) -> Tensor:
-    """Basic (numpy-style) indexing/slicing with scatter-add backward."""
+    """Numpy-style indexing/slicing with scatter-add backward.
+
+    A basic index selects each position at most once, so its backward adds
+    `g` in place; an advanced index may repeat positions and uses `np.add.at`.
+    """
     a = as_tensor(a)
     data = a.data[idx]
 
     def backward(g):
         out = np.zeros_like(a.data)
-        np.add.at(out, idx, g)
+        if _is_basic_index(idx):
+            out[idx] += g
+        else:
+            np.add.at(out, idx, g)
         return (out,)
 
     return Tensor._make(data, (a,), "take", backward)

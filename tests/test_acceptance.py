@@ -1,7 +1,8 @@
 """Acceptance gate.
 
-Each criterion prints one `[acceptance] PASS/FAIL: <name>` line directly to
-the terminal, bypassing pytest capture. The desk experiment
+Each criterion prints one `[acceptance] PASS/FAIL: <name>` line to pytest's
+terminal with output capture suspended, so plain `pytest -v` shows it, also
+when standard output is a file. The desk experiment
 at the bottom trains the full stack on the default synthetic corpus with a
 fixed seed and must finish on CPU well inside 30 minutes.
 """
@@ -23,13 +24,14 @@ from patchmil import selfsup as S
 from patchmil import tensor as T
 
 
-_REPORTER = None
+_PLUGINS = (None, None)  # terminal reporter, capture manager
 
 
 @pytest.fixture(autouse=True)
-def _terminal_reporter(request):
-    global _REPORTER
-    _REPORTER = request.config.pluginmanager.get_plugin("terminalreporter")
+def _terminal_plugins(request):
+    global _PLUGINS
+    manager = request.config.pluginmanager
+    _PLUGINS = (manager.get_plugin("terminalreporter"), manager.get_plugin("capturemanager"))
     yield
 
 
@@ -37,10 +39,13 @@ def _criterion(name: str, passed: bool, detail: str = ""):
     status = "PASS" if passed else "FAIL"
     suffix = f" ({detail})" if detail else ""
     line = f"[acceptance] {status}: {name}{suffix}"
-    if _REPORTER is not None:
-        # the terminal reporter bypasses output capture, so every criterion
-        # line shows in plain `pytest -v`
-        _REPORTER.write_line(line)
+    reporter, capture = _PLUGINS
+    if reporter is not None and capture is not None:
+        # the terminal reporter writes to fd 1, which fd capture redirects
+        # while a test runs; suspending capture puts every criterion line in
+        # plain `pytest -v` output
+        with capture.global_and_fixture_disabled():
+            reporter.write_line(line)
     else:
         print(line, file=sys.__stdout__, flush=True)
     assert passed, line

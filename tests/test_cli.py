@@ -229,6 +229,26 @@ class TestPretrain:
         assert "optimizer, symmetrize" in capsys.readouterr().err
         assert not run.exists()
 
+    @pytest.mark.parametrize(
+        "name, text, says",
+        [
+            ("missing.json", None, "cannot read --config"),
+            ("broken.json", '{"epochs": 1,', "cannot read --config"),
+            ("list.json", "[1, 2]", "holds a JSON list"),
+        ],
+        ids=["missing", "broken", "list"],
+    )
+    def test_unusable_config_file_is_usage_error(self, corpus, tmp_path, capsys, name, text, says):
+        path = tmp_path / name
+        if text is not None:
+            path.write_text(text)
+        run = tmp_path / "r"
+        code = main(["pretrain", "--config", str(path), "--corpus", str(corpus), "--out", str(run)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and says in err and str(path) in err
+        assert not run.exists()
+
 
 class TestMIL:
     def test_run_artifacts(self, mil_run):

@@ -1,12 +1,18 @@
 """Self-supervised objective: analytic loss oracles, gradient checks, momentum law."""
 
+import csv
+import itertools
+import multiprocessing
+import os
+import time
+
 import numpy as np
 import pytest
 
 from patchmil import backbone as bb
 from patchmil import selfsup as S
 from patchmil import tensor as T
-from patchmil.errors import ConfigError, ContractViolation, NumericError
+from patchmil.errors import ConfigError, ContractViolation, NumericError, WorkerError
 
 
 @pytest.fixture(autouse=True)
@@ -371,3 +377,76 @@ class TestPretrainLoop:
         state = S.pretrain(np.zeros((1, 16, 16, 3)), cfg, progress=lambda e, r: calls.append((e, r)))
         assert calls == [(0, {}), (1, {})]
         assert state.step_count == 0
+
+    def make(self):
+        """10 patches in batches of 4: 2 batches per epoch, 4 steps in all."""
+        cfg = S.SSLConfig(arch=SMALL_ARCH, epochs=2, batch_size=4, lr=0.01, seed=5)
+        return np.random.default_rng(3).uniform(size=(10, 16, 16, 3)), cfg
+
+    def test_worker_equals_in_process_reference(self, tmp_path):
+        patches, cfg = self.make()
+        state = S.pretrain(patches, cfg, log_path=tmp_path / "losses.csv")
+        reference = S.SSLState(cfg)
+        rows = []
+        for views_s, views_t in S.view_batches(patches, cfg):
+            lr = S.cosine_lr(cfg.lr, reference.step_count, cfg.epochs * 2)
+            report = S.pretrain_step(views_s, views_t, reference, lr)
+            rows.append(
+                [str(reference.step_count)]
+                + [f"{report[k]:.6f}" for k in ("global", "parts", "var", "cov", "all")]
+                + [f"{lr:.6f}", f"{report['grad_norm']:.6f}"]
+            )
+        with open(tmp_path / "losses.csv", newline="") as fh:
+            logged = list(csv.reader(fh))[1:]
+        assert len(rows) == 4 and logged == rows
+        for group in ("student", "student_heads", "teacher", "teacher_heads"):
+            ours, theirs = getattr(state, group), getattr(reference, group)
+            assert ours.keys() == theirs.keys()
+            for key in ours:
+                assert ours[key].data.tobytes() == theirs[key].data.tobytes(), (group, key)
+
+    def test_augment_error_in_worker_raises_its_type(self, monkeypatch):
+        patches, cfg = self.make()
+
+        def broken_augment(patch, rng):
+            raise NumericError("augment broke")
+
+        monkeypatch.setattr(S, "augment", broken_augment)
+        with pytest.raises(NumericError, match="augment broke") as info:
+            S.pretrain(patches, cfg)
+        assert "broken_augment" in str(info.value.__cause__)  # the worker's traceback
+
+    @pytest.mark.parametrize("die_at", [0, 9])
+    def test_worker_exiting_silently_raises(self, monkeypatch, die_at):
+        patches, cfg = self.make()
+        calls = itertools.count()
+
+        def dying_augment(patch, rng):
+            if next(calls) == die_at:
+                os._exit(1)
+            return S.ViewPair(patch, patch)
+
+        monkeypatch.setattr(S, "augment", dying_augment)
+        start = time.monotonic()
+        with pytest.raises(WorkerError, match="code 1"):
+            S.pretrain(patches, cfg)
+        assert time.monotonic() - start < 5
+
+    @pytest.mark.parametrize(
+        "where, error", [(None, None), ("progress", RuntimeError), ("pretrain_step", RuntimeError),
+                         ("pretrain_step", KeyboardInterrupt)],
+    )
+    def test_no_worker_left_after_pretrain(self, monkeypatch, where, error):
+        patches, cfg = self.make()
+
+        def fail(*args):
+            raise error("stop here")
+
+        if where == "pretrain_step":
+            monkeypatch.setattr(S, "pretrain_step", fail)
+        if error is None:
+            S.pretrain(patches, cfg)
+        else:
+            with pytest.raises(error, match="stop here"):
+                S.pretrain(patches, cfg, progress=fail if where == "progress" else None)
+        assert multiprocessing.active_children() == []

@@ -159,6 +159,33 @@ class TestGradientChecks:
         x = rng().normal(size=(3, 4))
         _check(lambda t: (T.concat([t, t * 2.0], axis=1)[:, 2:6] ** 2).sum(), x)
 
+    def test_take_roll_slices(self):
+        from patchmil.backbone import _roll
+
+        x = rng().normal(size=(2, 5, 3))
+        w = np.asarray(rng().normal(size=(2, 5, 3)))
+        _check(lambda t: ((_roll(t, 2, axis=1) * T.Tensor(w)) ** 2).sum(), x)
+
+    def test_take_advanced_index_with_repeats(self):
+        x = rng().normal(size=(3, 4))
+        _check(lambda t: (t[[0, 2, 0], [1, 3, 1]] ** 2).sum(), x)
+        _check(lambda t: (t[np.arange(3), np.arange(3)] ** 2).sum(), x)
+
+    def test_take_basic_index_backward_equals_add_at(self):
+        x = rng().normal(size=(3, 4, 5))
+        indices = [
+            1, -1, np.int64(2), slice(None, None, -2), None, Ellipsis,
+            (slice(None), slice(-2, None)), (Ellipsis, 3), (0, None, slice(1, 4)),
+            (np.array([0, 0, 2]),), np.array([True, False, True]),
+        ]
+        for idx in indices:
+            leaf = T.parameter(x)
+            g = rng().normal(size=x[idx].shape)
+            (T.take(leaf, idx) * T.Tensor(g)).sum().backward()
+            expected = np.zeros_like(x)
+            np.add.at(expected, idx, g)
+            assert leaf.grad.tobytes() == expected.tobytes(), idx
+
     def test_transpose_reshape(self):
         x = rng().normal(size=(2, 3, 4))
         _check(lambda t: (T.transpose(t, (2, 0, 1)).reshape(4, 6) ** 2).sum(), x)
