@@ -2,7 +2,9 @@
 
 Exit codes: 0 success, 2 usage error, 1 runtime failure. Every training
 command writes its fully resolved configuration into the run directory, and
-a run directory is never overwritten once it holds a config.
+a run directory is never overwritten once it holds a config. The config is
+written last, after every other output of the run, so a run that crashed
+leaves a directory that the same command may run into again.
 """
 
 from __future__ import annotations
@@ -24,13 +26,6 @@ from . import mil as ML
 from . import pipeline as P
 from . import selfsup as S
 from .errors import ConfigError, ContractViolation, FormatError, NumericError, WorkerError
-
-TABLE2_LOSS_ROWS = (
-    ("global",),
-    ("global", "parts"),
-    ("global", "var", "cov"),
-    ("global", "parts", "var", "cov"),
-)
 
 
 def _parse_ints(text: str) -> tuple:
@@ -55,10 +50,12 @@ def _fresh_run_dir(path: str) -> Path:
     return run
 
 
-def _write_config(run: Path, args: argparse.Namespace, command: str) -> None:
+def _write_config(run: Path, args: argparse.Namespace) -> None:
+    """Mark the run complete: call it after every other output is in place."""
     resolved = {k: v for k, v in vars(args).items() if k not in ("func", "config")}
-    resolved["command"] = command
-    (run / "config.json").write_text(json.dumps(resolved, indent=2, sort_keys=True, default=str))
+    partial = run / "config.json.partial"
+    partial.write_text(json.dumps(resolved, indent=2, sort_keys=True, default=str))
+    os.replace(partial, run / "config.json")
 
 
 def _corpus_dir(args) -> str:
@@ -126,10 +123,10 @@ def cmd_pretrain(args) -> int:
     cfg = _ssl_config_from_args(args)
     cfg.validate()
     run = _fresh_run_dir(args.out)
-    _write_config(run, args, "pretrain")
     patches = _load_train_patches(corpus, cfg.arch.side)
     state = S.pretrain(patches, cfg, log_path=run / "losses.csv")
     _save_ssl_checkpoint(run / "checkpoint", state)
+    _write_config(run, args)
     print(f"pretrained {state.step_count} steps; checkpoint at {run / 'checkpoint'}")
     return 0
 
@@ -155,39 +152,19 @@ def cmd_linear_probe(args) -> int:
     return 0
 
 
-def _mil_config_from_args(args, arch: bb.ArchConfig, pooling=None, bias=None) -> ML.MILConfig:
-    return ML.MILConfig(
+def cmd_train_mil(args) -> int:
+    corpus = _corpus_dir(args)
+    backbone_params, arch = _load_backbone(args.checkpoint)
+    mil_cfg = ML.MILConfig(
         feature_dim=arch.feature_dim,
-        pooling=pooling if pooling is not None else args.pooling,
-        use_position_bias=bias if bias is not None else not args.no_position_bias,
+        pooling=args.pooling,
+        use_position_bias=not args.no_position_bias,
         epochs=args.epochs,
         batch_size=args.batch_size,
         seed=args.seed,
     )
-
-
-def _train_mil_once(corpus, backbone_params, arch, mil_cfg):
-    train_bags = P.bags_from_corpus(corpus, "train", backbone_params, arch)
-    val_bags = P.bags_from_corpus(corpus, "val", backbone_params, arch)
-    test_bags = P.bags_from_corpus(corpus, "test", backbone_params, arch)
-    norm = P.bag_normalization(train_bags)
-    train_bags = P.standardize_bags(train_bags, norm)
-    val_bags = P.standardize_bags(val_bags, norm)
-    test_bags = P.standardize_bags(test_bags, norm)
-    params, history = ML.train_mil(train_bags, val_bags, mil_cfg)
-    preds = ML.evaluate_bags(test_bags, params, mil_cfg)
-    labels = np.array([b.label for b in test_bags])
-    report = MM.metrics_from_predictions(preds, labels)
-    return params, history, report, norm
-
-
-def cmd_train_mil(args) -> int:
-    corpus = _corpus_dir(args)
-    backbone_params, arch = _load_backbone(args.checkpoint)
-    mil_cfg = _mil_config_from_args(args, arch)
     mil_cfg.validate()
     run = _fresh_run_dir(args.out)
-    _write_config(run, args, "train-mil")
     groups = {}
     if args.finetune:
         encoder, params, ft_history = P.finetune_mil(
@@ -195,13 +172,12 @@ def cmd_train_mil(args) -> int:
         )
         history = [dict(h, train_acc="") for h in ft_history]
         test_bags = P.bags_from_corpus(corpus, "test", encoder, arch)
-        preds = ML.evaluate_bags(test_bags, params, mil_cfg)
-        labels = np.array([b.label for b in test_bags])
-        report = MM.metrics_from_predictions(preds, labels)
+        report = P.bag_metrics(test_bags, params, mil_cfg)
         groups["student"] = encoder
-        norm = None
     else:
-        params, history, report, norm = _train_mil_once(corpus, backbone_params, arch, mil_cfg)
+        bags, norm = P.frozen_bags(corpus, backbone_params, arch)
+        params, history = ML.train_mil(bags["train"], bags["val"], mil_cfg)
+        report = P.bag_metrics(bags["test"], params, mil_cfg)
         groups["norm"] = {"mu": norm[0], "sd": norm[1]}
     groups["mil"] = params
     D.save_checkpoint(
@@ -220,6 +196,7 @@ def cmd_train_mil(args) -> int:
         writer.writerows(history)
     (run / "report.json").write_text(MM.report_json({"mil": report}))
     (run / "report.txt").write_text(MM.report_table({"mil": report}))
+    _write_config(run, args)
     print(MM.report_table({"mil": report}))
     return 0
 
@@ -248,9 +225,7 @@ def cmd_evaluate(args) -> int:
     corpus = _corpus_dir(args)
     mil_params, mil_cfg, backbone_params, arch, norm = _load_mil_run(args.mil_run)
     bags = _split_bags(corpus, args.split, backbone_params, arch, norm)
-    preds = ML.evaluate_bags(bags, mil_params, mil_cfg)
-    labels = np.array([b.label for b in bags])
-    report = MM.metrics_from_predictions(preds, labels)
+    report = P.bag_metrics(bags, mil_params, mil_cfg)
     print(MM.report_table({f"mil[{args.split}]": report}))
     if args.json:
         Path(args.json).write_text(MM.report_json({f"mil[{args.split}]": report}))
@@ -259,34 +234,21 @@ def cmd_evaluate(args) -> int:
 
 def cmd_ablate(args) -> int:
     corpus = _corpus_dir(args)
+    ssl_cfg = _ssl_config_from_args(args, loss_terms=P.LOSS_ROWS[-1])
+    mil_cfg = ML.MILConfig(
+        feature_dim=ssl_cfg.arch.feature_dim,
+        epochs=args.epochs,
+        batch_size=args.batch_size,
+        seed=args.seed,
+    )
+    ssl_cfg.validate()
+    mil_cfg.validate()
     run = _fresh_run_dir(args.out)
-    _write_config(run, args, "ablate")
-    rows: dict[str, dict] = {}
-    if args.axis in ("loss", "all"):
-        patches = None
-        for terms in TABLE2_LOSS_ROWS:
-            cfg = _ssl_config_from_args(args, loss_terms=terms)
-            if patches is None:
-                patches = _load_train_patches(corpus, cfg.arch.side)
-            state = S.pretrain(patches, cfg)
-            report = P.linear_probe_metrics(corpus, state.student, cfg.arch)
-            rows[f"loss[{'+'.join(terms)}]"] = report
-    if args.axis in ("pooling", "bias", "all"):
-        if not args.checkpoint:
-            raise ConfigError("the pooling/bias axes need --checkpoint")
-        backbone_params, arch = _load_backbone(args.checkpoint)
-        if args.axis in ("pooling", "all"):
-            for kind in ML.POOLING_KINDS:
-                mil_cfg = _mil_config_from_args(args, arch, pooling=kind)
-                _, _, report, _ = _train_mil_once(corpus, backbone_params, arch, mil_cfg)
-                rows[f"ours + {kind} pool"] = report
-        if args.axis in ("bias", "all"):
-            for bias in (True, False):
-                mil_cfg = _mil_config_from_args(args, arch, pooling="adaptive", bias=bias)
-                _, _, report, _ = _train_mil_once(corpus, backbone_params, arch, mil_cfg)
-                rows[f"adaptive pool, position bias {'on' if bias else 'off'}"] = report
+    rows, stage_seconds = P.ablation(corpus, ssl_cfg, mil_cfg, args.epochs, P.FINETUNE_LR)
     (run / "report.json").write_text(MM.report_json(rows))
     (run / "report.txt").write_text(MM.report_table(rows))
+    (run / "stages.json").write_text(json.dumps(stage_seconds, indent=2))
+    _write_config(run, args)
     print(MM.report_table(rows))
     return 0
 
@@ -366,12 +328,10 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--side", type=int, default=64)
     p.set_defaults(func=cmd_generate_data)
 
-    def ssl_flags(p, budget=True):
-        if budget:
-            p.add_argument("--epochs", type=int, default=30)
-            p.add_argument("--batch-size", type=int, default=64)
+    def ssl_flags(p):
+        p.add_argument("--epochs", type=int, default=30)
+        p.add_argument("--batch-size", type=int, default=64)
         p.add_argument("--lr", type=float, default=3e-4)
-        p.add_argument("--loss", default="global,parts,var,cov")
         p.add_argument("--gamma", type=float, default=5.0)
         p.add_argument("--lam", type=float, default=0.005)
         p.add_argument("--epsilon", type=float, default=1e-4)
@@ -382,6 +342,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     common(p)
     p.add_argument("--out", required=True)
     ssl_flags(p)
+    p.add_argument("--loss", default="global,parts,var,cov")
     p.set_defaults(func=cmd_pretrain)
 
     p = sub.add_parser("linear-probe", help="frozen-encoder linear classification")
@@ -392,21 +353,17 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--json", default=None)
     p.set_defaults(func=cmd_linear_probe)
 
-    def mil_flags(p, budget=True):
-        p.add_argument("--pooling", default="adaptive", choices=ML.POOLING_KINDS)
-        if budget:
-            p.add_argument("--epochs", type=int, default=20)
-            p.add_argument("--batch-size", type=int, default=32)
-        p.add_argument("--no-position-bias", action="store_true")
-
     p = sub.add_parser("train-mil", help="train the MIL head on a frozen encoder")
     common(p)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--finetune", action="store_true",
                    help="also train the encoder end to end instead of freezing it")
-    p.add_argument("--finetune-lr", type=float, default=3e-3)
-    mil_flags(p)
+    p.add_argument("--finetune-lr", type=float, default=P.FINETUNE_LR)
+    p.add_argument("--pooling", default="adaptive", choices=ML.POOLING_KINDS)
+    p.add_argument("--epochs", type=int, default=20)
+    p.add_argument("--batch-size", type=int, default=32)
+    p.add_argument("--no-position-bias", action="store_true")
     p.set_defaults(func=cmd_train_mil)
 
     p = sub.add_parser("evaluate", help="score a trained MIL run on a split")
@@ -416,13 +373,10 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--json", default=None)
     p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("ablate", help="loss/pooling/bias ablation sweeps")
+    p = sub.add_parser("ablate", help="loss and pooling ablations from scratch")
     common(p)
-    p.add_argument("--axis", default="all", choices=("loss", "pooling", "bias", "all"))
-    p.add_argument("--checkpoint", default=None, help="needed for pooling/bias axes")
     p.add_argument("--out", required=True)
-    ssl_flags(p)  # --epochs/--batch-size budget both the SSL and MIL sweeps
-    mil_flags(p, budget=False)
+    ssl_flags(p)  # --epochs budgets SSL, fine-tune and MIL; --batch-size SSL and MIL
     p.set_defaults(func=cmd_ablate)
 
     p = sub.add_parser("export-attention", help="per-bag attention weights + graymaps")

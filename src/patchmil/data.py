@@ -106,9 +106,20 @@ def load_checkpoint(path):
     manifest_path = path / "manifest.json"
     if not manifest_path.exists():
         raise FormatError(f"no checkpoint manifest at {manifest_path}")
-    manifest = json.loads(manifest_path.read_text())
+    try:
+        manifest = json.loads(manifest_path.read_text())
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise FormatError(f"unparseable checkpoint manifest {manifest_path}: {exc}") from exc
+    listed = manifest.get("groups") if isinstance(manifest, dict) else None
+    if not isinstance(listed, dict) or not all(isinstance(v, list) for v in listed.values()):
+        raise FormatError(f"{manifest_path} is not an object with a 'groups' object of name lists")
+    for group, names in listed.items():
+        for part in (group, *names):
+            # names become file names inside the checkpoint directory
+            if not isinstance(part, str) or part in ("", ".", "..") or "/" in part or "\\" in part:
+                raise FormatError(f"bad group or tensor name {part!r} in {manifest_path}")
     groups = {}
-    for group, names in manifest["groups"].items():
+    for group, names in listed.items():
         groups[group] = {}
         for name in names:
             array, _ = read_tensor(path / f"{group}__{name}.ftc")

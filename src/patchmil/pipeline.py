@@ -1,20 +1,42 @@
-"""Glue between corpus, encoder, probes and the MIL head.
+"""Glue between corpus, encoder, probes and the MIL head, and the ablation runner.
 
 Whole images are tiled into encoder-sized patches; each patch embedding is the
 GAP of its feature map. A whole-image embedding (for linear probing) is the
 mean of its patch embeddings; a bag (for MIL) keeps the patch embeddings and
 their grid positions.
+
+`ablation` is the one copy of the paper's ablation protocol, run by both
+`patchmil ablate` and the acceptance gate's desk experiment: linear probes of
+a random-init encoder and of one pretrained encoder per loss subset in
+`LOSS_ROWS`, an end-to-end fine-tune of the full-loss encoder, then one MIL
+head per pooling kind on the fine-tuned encoder's frozen bag features.
 """
 
 from __future__ import annotations
+
+import dataclasses
+import time
+from contextlib import contextmanager
 
 import numpy as np
 
 from . import backbone as bb
 from . import data as D
+from . import metrics as MM
 from . import mil as ML
+from . import selfsup as S
 from . import tensor as T
 from .errors import ConfigError
+
+# pretraining loss subsets of the loss ablation; the last is the full loss
+LOSS_ROWS = (
+    ("global",),
+    ("global", "parts"),
+    ("global", "var", "cov"),
+    ("global", "parts", "var", "cov"),
+)
+ABLATION_STAGES = ("probes", "ssl", "finetune", "bags", "mil")
+FINETUNE_LR = 3e-3
 
 
 def embed_patches(patches: np.ndarray, params: dict, arch: bb.ArchConfig,
@@ -67,6 +89,19 @@ def standardize_bags(bags, norm):
     return [ML.Bag((b.instances - mu) / sd, b.positions, b.label) for b in bags]
 
 
+def frozen_bags(corpus_dir, params: dict, arch: bb.ArchConfig):
+    """Bags of every split, z-scored with train statistics: ({split: bags}, norm)."""
+    bags = {split: bags_from_corpus(corpus_dir, split, params, arch) for split in D.SPLITS}
+    norm = bag_normalization(bags["train"])
+    return {split: standardize_bags(b, norm) for split, b in bags.items()}, norm
+
+
+def bag_metrics(bags, params: dict, cfg: ML.MILConfig) -> dict:
+    """Metrics of a MIL head's predictions against the bags' labels."""
+    preds = ML.evaluate_bags(bags, params, cfg)
+    return MM.metrics_from_predictions(preds, np.array([b.label for b in bags]))
+
+
 def finetune_mil(
     corpus_dir,
     init_params: dict,
@@ -74,7 +109,7 @@ def finetune_mil(
     cfg: ML.MILConfig,
     epochs: int = 20,
     batch_size: int = 8,
-    lr: float = 3e-3,
+    lr: float = FINETUNE_LR,
     progress=None,
 ):
     """Train encoder and MIL head end to end with cross-entropy on bags.
@@ -168,8 +203,6 @@ def probe_predict(features: np.ndarray, w, b, norm) -> np.ndarray:
 
 def linear_probe_metrics(corpus_dir, params: dict, arch: bb.ArchConfig) -> dict:
     """Freeze the encoder, fit a linear classifier on train, score on test."""
-    from . import metrics as MM
-
     train_x, train_y, _ = D.load_split(corpus_dir, "train")
     test_x, test_y, _ = D.load_split(corpus_dir, "test")
     f_tr = embed_images(train_x, params, arch)
@@ -177,3 +210,49 @@ def linear_probe_metrics(corpus_dir, params: dict, arch: bb.ArchConfig) -> dict:
     w, b, norm = train_linear_probe(f_tr, train_y)
     preds = probe_predict(f_te, w, b, norm)
     return MM.metrics_from_predictions(preds, test_y)
+
+
+@contextmanager
+def _timed(seconds: dict, stage: str):
+    start = time.perf_counter()
+    yield
+    seconds[stage] += time.perf_counter() - start
+
+
+def ablation(corpus_dir, ssl_cfg: S.SSLConfig, mil_cfg: ML.MILConfig,
+             finetune_epochs: int, finetune_lr: float):
+    """Run the loss and pooling ablations; returns (report, stage_seconds).
+
+    Each row sets the loss terms of `ssl_cfg` and the pooling and position
+    bias of `mil_cfg`; the fine-tune uses adaptive pooling with the bias.
+    `stage_seconds` maps each of `ABLATION_STAGES` to its wall seconds.
+    """
+    arch = ssl_cfg.arch
+    seconds = dict.fromkeys(ABLATION_STAGES, 0.0)
+    with _timed(seconds, "probes"):
+        random_params = bb.init_backbone(np.random.default_rng(ssl_cfg.seed), arch)
+        report = {"linear probe (random init)": linear_probe_metrics(corpus_dir, random_params, arch)}
+    with _timed(seconds, "ssl"):
+        images, _, _ = D.load_split(corpus_dir, "train")
+        patches, _, _ = image_patches(images, arch.side)
+    for terms in LOSS_ROWS:
+        with _timed(seconds, "ssl"):
+            state = S.pretrain(patches, dataclasses.replace(ssl_cfg, loss_terms=terms))
+        with _timed(seconds, "probes"):
+            report[f"pretraining loss [{'+'.join(terms)}]"] = linear_probe_metrics(
+                corpus_dir, state.student, arch
+            )
+    with _timed(seconds, "finetune"):  # `state` is the last row's: the full loss
+        ft_cfg = dataclasses.replace(mil_cfg, pooling="adaptive", use_position_bias=True)
+        encoder, _, _ = finetune_mil(
+            corpus_dir, state.student, arch, ft_cfg, epochs=finetune_epochs, lr=finetune_lr
+        )
+    with _timed(seconds, "bags"):
+        bags, _ = frozen_bags(corpus_dir, encoder, arch)
+    with _timed(seconds, "mil"):
+        for kind, bias in [(kind, True) for kind in ML.POOLING_KINDS] + [("adaptive", False)]:
+            cfg = dataclasses.replace(mil_cfg, pooling=kind, use_position_bias=bias)
+            params, _ = ML.train_mil(bags["train"], bags["val"], cfg)
+            label = f"ours + {kind} pool" if bias else f"ours + {kind} pool, no position bias"
+            report[label] = bag_metrics(bags["test"], params, cfg)
+    return report, seconds

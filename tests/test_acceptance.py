@@ -328,105 +328,44 @@ DESK_FT_EPOCHS = 25
 DESK_FT_LR = 3e-3
 DESK_MIL_EPOCHS = 30
 
-LOSS_ROWS = (
-    ("global",),
-    ("global", "parts"),
-    ("global", "var", "cov"),
-    ("global", "parts", "var", "cov"),
-)
-
 
 @pytest.fixture(scope="module")
 def desk(tmp_path_factory):
-    """Full fixed-seed experiment: corpus, probes, loss and pooling ablations.
+    """Full fixed-seed experiment: the default corpus, then `P.ablation`.
 
-    Protocol: pretrain one encoder per loss subset and linear-probe each;
-    fine-tune the full-loss encoder end to end through the adaptive-pool MIL
-    head; then train every pooling head (and a no-position-bias variant) on
-    the fine-tuned encoder's frozen, z-scored bag features so the pooling
-    comparison shares one feature space.
+    The protocol (loss-subset probes, fine-tune, pooling heads on the
+    fine-tuned encoder's frozen bag features) is `P.ablation`'s; the desk
+    fixes its corpus, seed, slim encoder and per-stage budgets.
     """
     start = time.time()
     root = tmp_path_factory.mktemp("desk")
     corpus = root / "corpus"
     D.generate_corpus(D.CorpusConfig(seed=DESK_SEED), corpus)
-
     arch = bb.ArchConfig(**DESK_ARCH)
-    random_params = bb.init_backbone(np.random.default_rng(DESK_SEED), arch)
-    probe_random = P.linear_probe_metrics(corpus, random_params, arch)
-
-    images, _, _ = D.load_split(corpus, "train")
-    patches, _, _ = P.image_patches(images, arch.side)
-
-    loss_table = {}
-    full_state = None
-    for terms in LOSS_ROWS:
-        cfg = S.SSLConfig(
-            arch=arch,
-            epochs=DESK_SSL_EPOCHS,
-            batch_size=DESK_SSL_BATCH,
-            lr=DESK_SSL_LR,
-            seed=DESK_SEED,
-            loss_terms=terms,
-            weights=S.LossWeights(momentum=DESK_TEACHER_MOMENTUM),
-        )
-        state = S.pretrain(patches, cfg)
-        loss_table[f"pretraining loss [{'+'.join(terms)}]"] = P.linear_probe_metrics(
-            corpus, state.student, arch
-        )
-        if terms == LOSS_ROWS[-1]:
-            full_state = state
-
-    ft_cfg = ML.MILConfig(
-        feature_dim=arch.feature_dim, pooling="adaptive", seed=DESK_SEED
+    ssl_cfg = S.SSLConfig(
+        arch=arch,
+        epochs=DESK_SSL_EPOCHS,
+        batch_size=DESK_SSL_BATCH,
+        lr=DESK_SSL_LR,
+        seed=DESK_SEED,
+        weights=S.LossWeights(momentum=DESK_TEACHER_MOMENTUM),
     )
-    encoder, _, _ = P.finetune_mil(
-        corpus, full_state.student, arch, ft_cfg, epochs=DESK_FT_EPOCHS, lr=DESK_FT_LR
-    )
-
-    train_bags = P.bags_from_corpus(corpus, "train", encoder, arch)
-    val_bags = P.bags_from_corpus(corpus, "val", encoder, arch)
-    test_bags = P.bags_from_corpus(corpus, "test", encoder, arch)
-    norm = P.bag_normalization(train_bags)
-    train_bags = P.standardize_bags(train_bags, norm)
-    val_bags = P.standardize_bags(val_bags, norm)
-    test_bags = P.standardize_bags(test_bags, norm)
-    test_labels = np.array([b.label for b in test_bags])
-    pool_table = {}
-    pool_rows = [(kind, True) for kind in ML.POOLING_KINDS] + [("adaptive", False)]
-    for kind, bias in pool_rows:
-        cfg = ML.MILConfig(
-            feature_dim=arch.feature_dim,
-            pooling=kind,
-            use_position_bias=bias,
-            epochs=DESK_MIL_EPOCHS,
-            seed=DESK_SEED,
-        )
-        params, _ = ML.train_mil(train_bags, val_bags, cfg)
-        preds = ML.evaluate_bags(test_bags, params, cfg)
-        label = f"ours + {kind} pool" if bias else f"ours + {kind} pool, no position bias"
-        pool_table[label] = MM.metrics_from_predictions(preds, test_labels)
-
-    report = {
-        "linear probe (random init)": probe_random,
-        **loss_table,
-        **pool_table,
-    }
+    mil_cfg = ML.MILConfig(feature_dim=arch.feature_dim, epochs=DESK_MIL_EPOCHS, seed=DESK_SEED)
+    report, stage_seconds = P.ablation(corpus, ssl_cfg, mil_cfg, DESK_FT_EPOCHS, DESK_FT_LR)
     (root / "ablation_report.json").write_text(MM.report_json(report))
     (root / "ablation_report.txt").write_text(MM.report_table(report))
     return {
         "root": root,
-        "probe_random": probe_random,
-        "loss_table": loss_table,
-        "pool_table": pool_table,
+        "report": report,
+        "stage_seconds": stage_seconds,
         "elapsed": time.time() - start,
     }
 
 
 class TestDeskExperiment:
     def test_pretrained_probe_beats_random_probe(self, desk):
-        full = desk["loss_table"]["pretraining loss [global+parts+var+cov]"]["acc"]
-        random_acc = desk["probe_random"]["acc"]
+        full = desk["report"]["pretraining loss [global+parts+var+cov]"]["acc"]
+        random_acc = desk["report"]["linear probe (random init)"]["acc"]
         gap = (full - random_acc) * 100
         _criterion(
             "desk (a): pretrained linear probe beats random init by >= 10 points",
@@ -435,8 +374,8 @@ class TestDeskExperiment:
         )
 
     def test_full_loss_at_least_global_only(self, desk):
-        full = desk["loss_table"]["pretraining loss [global+parts+var+cov]"]["acc"]
-        global_only = desk["loss_table"]["pretraining loss [global]"]["acc"]
+        full = desk["report"]["pretraining loss [global+parts+var+cov]"]["acc"]
+        global_only = desk["report"]["pretraining loss [global]"]["acc"]
         _criterion(
             "desk (b): full loss >= global-only loss in probe accuracy",
             full >= global_only,
@@ -444,11 +383,11 @@ class TestDeskExperiment:
         )
 
     def test_adaptive_pool_accuracy_and_report(self, desk):
-        adaptive = desk["pool_table"]["ours + adaptive pool"]["acc"]
-        mean_pool = desk["pool_table"]["ours + mean pool"]["acc"]
+        adaptive = desk["report"]["ours + adaptive pool"]["acc"]
+        mean_pool = desk["report"]["ours + mean pool"]["acc"]
         report_txt = (desk["root"] / "ablation_report.txt").read_text()
         report = json.loads((desk["root"] / "ablation_report.json").read_text())
-        rows_ok = len(report) == 1 + len(LOSS_ROWS) + len(ML.POOLING_KINDS) + 1 and all(
+        rows_ok = len(report) == 1 + len(P.LOSS_ROWS) + len(ML.POOLING_KINDS) + 1 and all(
             set(row) == set(MM.METRIC_NAMES) for row in report.values()
         )
         _criterion(
@@ -458,8 +397,9 @@ class TestDeskExperiment:
         )
 
     def test_within_runtime_budget(self, desk):
+        stages = ", ".join(f"{name} {sec:.0f}s" for name, sec in desk["stage_seconds"].items())
         _criterion(
             "desk: full experiment inside the 30-minute CPU budget",
             desk["elapsed"] < 1800,
-            f"{desk['elapsed']:.0f}s",
+            f"{desk['elapsed']:.0f}s; {stages}",
         )

@@ -9,8 +9,12 @@ import pytest
 
 from patchmil import backbone as bb
 from patchmil import data as D
+from patchmil import metrics as MM
+from patchmil import mil as ML
+from patchmil import pipeline as P
 from patchmil import selfsup as S
 from patchmil.cli import main
+from patchmil.errors import NumericError
 
 
 @pytest.fixture(scope="module")
@@ -118,20 +122,6 @@ class TestUsageErrors:
     def test_probe_needs_weights_source(self, corpus):
         assert main(["linear-probe", "--corpus", str(corpus)]) == 2
 
-    def test_ablate_pooling_needs_checkpoint(self, corpus, tmp_path):
-        code = main(
-            [
-                "ablate",
-                "--corpus",
-                str(corpus),
-                "--axis",
-                "pooling",
-                "--out",
-                str(tmp_path / "r"),
-            ]
-        )
-        assert code == 2
-
 
 class TestGenerateData:
     def test_same_seed_same_checksum(self, tmp_path):
@@ -160,6 +150,18 @@ class TestPretrain:
             ["pretrain", "--corpus", str(corpus), "--out", str(pretrain_run), "--epochs", "1"]
         )
         assert code == 1
+
+    def test_crashed_run_dir_can_be_rerun(self, corpus, tmp_path, monkeypatch):
+        def crash(*args, **kwargs):
+            raise NumericError("NaN gradient")
+
+        argv = ["pretrain", "--corpus", str(corpus), "--out", str(tmp_path / "r"), "--epochs", "1"]
+        monkeypatch.setattr(S, "pretrain", crash)
+        assert main(argv) == 1
+        assert not (tmp_path / "r" / "config.json").exists()
+        monkeypatch.undo()
+        assert main(argv) == 0
+        assert (tmp_path / "r" / "config.json").exists()
 
     def test_global_only_zeroes_other_columns(self, corpus, tmp_path):
         run = tmp_path / "g"
@@ -346,29 +348,55 @@ class TestMIL:
         evaluated = json.loads((tmp_path / "ft.json").read_text())["mil[test]"]
         assert evaluated == saved
 
-    def test_ablate_pooling_rows(self, corpus, pretrain_run, tmp_path):
-        run = tmp_path / "ab"
-        code = main(
-            [
-                "ablate",
-                "--corpus",
-                str(corpus),
-                "--axis",
-                "pooling",
-                "--checkpoint",
-                str(pretrain_run / "checkpoint"),
-                "--out",
-                str(run),
-                "--epochs",
-                "1",
-            ]
-        )
-        assert code == 0
-        report = json.loads((run / "report.json").read_text())
+
+@pytest.fixture(scope="module")
+def ablate_run(tmp_path_factory, corpus):
+    run = tmp_path_factory.mktemp("runs") / "ablate"
+    argv = ["ablate", "--corpus", str(corpus), "--out", str(run), "--epochs", "1"]
+    argv += ["--batch-size", "8", "--momentum", "0.9", "--seed", "2"]
+    assert main(argv) == 0
+    return run
+
+
+class TestAblate:
+    def test_ablate_rows(self, ablate_run):
+        report = json.loads((ablate_run / "report.json").read_text())
+        assert len(report) == 11
         assert set(report) == {
+            "linear probe (random init)",
+            "pretraining loss [global]",
+            "pretraining loss [global+parts]",
+            "pretraining loss [global+var+cov]",
+            "pretraining loss [global+parts+var+cov]",
             "ours + adaptive pool",
             "ours + max pool",
             "ours + mean pool",
             "ours + soft pool",
             "ours + gated_attention pool",
+            "ours + adaptive pool, no position bias",
         }
+        stages = json.loads((ablate_run / "stages.json").read_text())
+        assert list(stages) == list(P.ABLATION_STAGES)
+        assert all(sec >= 0 for sec in stages.values())
+        assert json.loads((ablate_run / "config.json").read_text())["command"] == "ablate"
+
+    def test_ablate_equals_runner(self, corpus, ablate_run):
+        arch = bb.ArchConfig()
+        ssl_cfg = S.SSLConfig(
+            arch=arch,
+            weights=S.LossWeights(momentum=0.9),
+            epochs=1,
+            batch_size=8,
+            seed=2,
+        )
+        mil_cfg = ML.MILConfig(feature_dim=arch.feature_dim, epochs=1, batch_size=8, seed=2)
+        report, _ = P.ablation(corpus, ssl_cfg, mil_cfg, finetune_epochs=1, finetune_lr=3e-3)
+        saved = json.loads((ablate_run / "report.json").read_text())
+        assert saved == json.loads(MM.report_json(report))
+
+    def test_removed_flags_rejected(self, corpus, tmp_path):
+        for flag in (["--axis", "all"], ["--checkpoint", "x"], ["--loss", "global"],
+                     ["--pooling", "mean"], ["--no-position-bias"]):
+            with pytest.raises(SystemExit) as exc:
+                main(["ablate", "--corpus", str(corpus), "--out", str(tmp_path / "r"), *flag])
+            assert exc.value.code == 2

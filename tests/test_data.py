@@ -76,6 +76,31 @@ class TestCheckpoint:
         with pytest.raises(FormatError):
             D.load_checkpoint(tmp_path / "nope")
 
+    @pytest.mark.parametrize(
+        "manifest",
+        [
+            "{not json",
+            "[]",
+            '{"meta": {}}',
+            '{"groups": []}',
+            '{"groups": {"student": "w"}}',
+            '{"groups": {"/tmp/outside": ["w"]}}',
+            '{"groups": {"..": ["w"]}}',
+            '{"groups": {"student": ["../w"]}}',
+            '{"groups": {"student": ["a\\\\b"]}}',
+            '{"groups": {"student": [""]}}',
+            '{"groups": {"student": [3]}}',
+        ],
+        ids=["not-json", "list", "no-groups", "groups-list", "names-string", "absolute-group",
+             "dotdot-group", "dotdot-name", "backslash-name", "empty-name", "int-name"],
+    )
+    def test_malformed_or_hostile_manifest(self, tmp_path, manifest):
+        ckpt = tmp_path / "ckpt"
+        D.save_checkpoint(ckpt, {"student": {"w": T.parameter(np.ones(2))}})
+        (ckpt / "manifest.json").write_text(manifest)
+        with pytest.raises(FormatError):
+            D.load_checkpoint(ckpt)
+
 
 class TestCorpus:
     def test_deterministic_under_seed(self, tmp_path):

@@ -51,6 +51,25 @@ class TestBags:
         assert bags[0].instances.shape == (4, ARCH.feature_dim)
         assert sorted(b.label for b in bags) == list(range(7))
 
+    def test_frozen_bags_equal_manual_normalization(self, tmp_path, params):
+        cfg = D.CorpusConfig(counts=(1, 1, 1), magnifications=(10,), side=32, seed=0)
+        D.generate_corpus(cfg, tmp_path / "c")
+        bags, norm = P.frozen_bags(tmp_path / "c", params, ARCH)
+        train = P.bags_from_corpus(tmp_path / "c", "train", params, ARCH)
+        manual_norm = P.bag_normalization(train)
+        np.testing.assert_array_equal(norm[0], manual_norm[0])
+        np.testing.assert_array_equal(norm[1], manual_norm[1])
+        assert list(bags) == list(D.SPLITS)
+        for split in D.SPLITS:
+            manual = P.standardize_bags(
+                P.bags_from_corpus(tmp_path / "c", split, params, ARCH), manual_norm
+            )
+            assert len(bags[split]) == len(manual)
+            for got, want in zip(bags[split], manual):
+                np.testing.assert_array_equal(got.instances, want.instances)
+                np.testing.assert_array_equal(got.positions, want.positions)
+                assert got.label == want.label
+
 
 class TestLinearProbe:
     def test_learns_separable_clusters(self):
