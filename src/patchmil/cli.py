@@ -168,7 +168,8 @@ def cmd_train_mil(args) -> int:
     groups = {}
     if args.finetune:
         encoder, params, ft_history = P.finetune_mil(
-            corpus, backbone_params, arch, mil_cfg, epochs=mil_cfg.epochs, lr=args.finetune_lr
+            corpus, backbone_params, arch, mil_cfg, epochs=mil_cfg.epochs,
+            batch_size=mil_cfg.batch_size, lr=args.finetune_lr,
         )
         history = [dict(h, train_acc="") for h in ft_history]
         test_bags = P.bags_from_corpus(corpus, "test", encoder, arch)

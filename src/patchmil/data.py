@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 import zlib
 from dataclasses import dataclass, field
@@ -86,9 +87,15 @@ def read_tensor(path):
 
 
 def save_checkpoint(path, groups: dict, meta: dict | None = None) -> None:
-    """Serialize named parameter groups (dicts of Tensors) under a directory."""
+    """Serialize named parameter groups (dicts of Tensors) under a directory.
+
+    The manifest is what makes a checkpoint loadable, so an old one is removed
+    before any tensor file is rewritten and the new one is moved into place
+    last: a save cut short leaves no checkpoint rather than a mixed one.
+    """
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
+    (path / "manifest.json").unlink(missing_ok=True)
     manifest = {"groups": {}, "meta": meta or {}}
     for group, params in groups.items():
         names = sorted(params)
@@ -97,7 +104,9 @@ def save_checkpoint(path, groups: dict, meta: dict | None = None) -> None:
             value = params[name]
             array = value.data if isinstance(value, T.Tensor) else np.asarray(value)
             write_tensor(path / f"{group}__{name}.ftc", array)
-    (path / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
+    partial = path / "manifest.json.partial"
+    partial.write_text(json.dumps(manifest, indent=2, sort_keys=True))
+    os.replace(partial, path / "manifest.json")
 
 
 def load_checkpoint(path):

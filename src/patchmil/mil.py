@@ -175,7 +175,8 @@ def classify_bag(bag: Bag, params: dict, cfg: MILConfig) -> np.ndarray:
     """Class logits for one bag; argmax (lowest index on ties) is the prediction."""
     if bag.instances.shape[0] < 1:
         raise ContractViolation("cannot classify an empty bag")
-    return bag_logits(bag.instances, bag.positions, params, cfg).numpy()
+    with T.no_grad():
+        return bag_logits(bag.instances, bag.positions, params, cfg).numpy()
 
 
 def predict(bag: Bag, params: dict, cfg: MILConfig) -> int:
@@ -206,11 +207,12 @@ def _group_by_size(bags):
 def evaluate_bags(bags, params: dict, cfg: MILConfig):
     """Predicted class ids for a list of bags (batched by instance count)."""
     preds = np.zeros(len(bags), dtype=np.int64)
-    for _, idx in _group_by_size(bags).items():
-        inst = np.stack([bags[i].instances for i in idx])
-        pos = np.stack([bags[i].positions for i in idx])
-        logits = bag_logits(inst, pos, params, cfg).numpy()
-        preds[idx] = np.argmax(logits, axis=1)
+    with T.no_grad():
+        for _, idx in _group_by_size(bags).items():
+            inst = np.stack([bags[i].instances for i in idx])
+            pos = np.stack([bags[i].positions for i in idx])
+            logits = bag_logits(inst, pos, params, cfg).numpy()
+            preds[idx] = np.argmax(logits, axis=1)
     return preds
 
 
@@ -263,11 +265,12 @@ def train_mil(train_bags, val_bags, cfg: MILConfig, progress=None):
 
 def attention_report(bag: Bag, params: dict, cfg: MILConfig):
     """Adaptive-pool weights (I, C) and MSA attention maps (heads, I, I) for export."""
-    refined = msa_refine(bag.instances, bag.positions, params, cfg)
-    _, weights = adaptive_pool(refined, params, cfg, return_weights=True)
-    # block 0's attention: same layer norm, q/k and position bias as msa_refine
-    x = T.as_tensor(bag.instances).reshape((1,) + bag.instances.shape)
-    normed = _layernorm(x, params["msa0_ln1_g"], params["msa0_ln1_b"])
-    qkv = _qkv(normed, params, "msa0", cfg.heads)
-    bias = _position_bias(bag.positions[None], params, 0, cfg)
-    return weights.numpy(), attention_weights(qkv[0], qkv[1], bias).numpy()[0]
+    with T.no_grad():
+        refined = msa_refine(bag.instances, bag.positions, params, cfg)
+        _, weights = adaptive_pool(refined, params, cfg, return_weights=True)
+        # block 0's attention: same layer norm, q/k and position bias as msa_refine
+        x = T.as_tensor(bag.instances).reshape((1,) + bag.instances.shape)
+        normed = _layernorm(x, params["msa0_ln1_g"], params["msa0_ln1_b"])
+        qkv = _qkv(normed, params, "msa0", cfg.heads)
+        bias = _position_bias(bag.positions[None], params, 0, cfg)
+        return weights.numpy(), attention_weights(qkv[0], qkv[1], bias).numpy()[0]

@@ -43,9 +43,10 @@ def embed_patches(patches: np.ndarray, params: dict, arch: bb.ArchConfig,
                   chunk: int = 256) -> np.ndarray:
     """GAP patch embeddings (P, C) for an array of (P, side, side, 3) patches."""
     outs = []
-    for start in range(0, patches.shape[0], chunk):
-        m = bb.embed_patch(patches[start : start + chunk], params, arch)
-        outs.append(bb.gap(m).numpy())
+    with T.no_grad():
+        for start in range(0, patches.shape[0], chunk):
+            m = bb.embed_patch(patches[start : start + chunk], params, arch)
+            outs.append(bb.gap(m).numpy())
     return np.concatenate(outs, axis=0)
 
 
@@ -120,6 +121,10 @@ def finetune_mil(
     """
     cfg.validate()
     images, labels, _ = D.load_split(corpus_dir, "train")
+    if batch_size > len(images):  # no full batch: the fine-tune would take no step
+        raise ConfigError(
+            f"fine-tune batch size {batch_size} exceeds the {len(images)} training images"
+        )
     val_images, val_labels, _ = D.load_split(corpus_dir, "val")
     _, per_image, positions = image_patches(images[:1], arch.side)
     encoder = {k: T.parameter(np.array(p.data, copy=True)) for k, p in init_params.items()}
@@ -136,9 +141,10 @@ def finetune_mil(
 
     def accuracy(split_images, split_labels):
         preds = []
-        for start in range(0, len(split_images), 32):
-            logits = forward(split_images[start : start + 32]).numpy()
-            preds.extend(np.argmax(logits, axis=1))
+        with T.no_grad():
+            for start in range(0, len(split_images), 32):
+                logits = forward(split_images[start : start + 32]).numpy()
+                preds.extend(np.argmax(logits, axis=1))
         return float((np.array(preds) == split_labels).mean())
 
     rng = np.random.default_rng(cfg.seed)

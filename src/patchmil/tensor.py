@@ -7,6 +7,8 @@ matmul, conv2d (unfold + matmul), elementwise arithmetic, ReLU/GELU/tanh/
 sigmoid/exp/log/sqrt/pow, axis reductions, softmax, l2_normalize, concat,
 transpose/reshape/slicing.
 
+`no_grad()` switches the tape off for forward-only passes.
+
 Precision is a build-wide switch (`set_default_dtype`); float32 is the
 default, float64 is used by the gradient-check suite.
 """
@@ -18,10 +20,13 @@ import math
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
+from scipy.special import erf as _erf
 
 from .errors import ContractViolation, NumericError
 
 _DEFAULT_DTYPE = np.float32
+_GRAD_ENABLED = True
 
 
 def set_default_dtype(dtype) -> None:
@@ -46,6 +51,23 @@ def default_dtype(dtype):
         yield
     finally:
         set_default_dtype(old)
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Record no tape: every op output made inside is an untracked constant.
+
+    For forward-only passes (embedding patches, scoring bags) whose params
+    require grad; the values are the same as with the tape. The switch is
+    process-wide, like the default dtype, not per thread.
+    """
+    global _GRAD_ENABLED
+    old = _GRAD_ENABLED
+    _GRAD_ENABLED = False
+    try:
+        yield
+    finally:
+        _GRAD_ENABLED = old
 
 
 def _as_array(value, dtype=None) -> np.ndarray:
@@ -107,7 +129,7 @@ class Tensor:
 
     @staticmethod
     def _make(data, parents, op, backward) -> "Tensor":
-        tracked = any(p.requires_grad or p._parents for p in parents)
+        tracked = _GRAD_ENABLED and any(p.requires_grad or p._parents for p in parents)
         out = Tensor(data, _parents=tuple(parents) if tracked else (), _op=op)
         if tracked:
             out._backward = backward
@@ -358,15 +380,13 @@ def relu(a) -> Tensor:
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
-try:  # scipy's vectorized erf beats np.vectorize(math.erf) by a wide margin
-    from scipy.special import erf as _erf
-except ImportError:  # pragma: no cover
-    _erf = np.vectorize(math.erf)
-
 
 def gelu(a) -> Tensor:
     a = as_tensor(a)
-    cdf = 0.5 * (1.0 + _erf(a.data * _INV_SQRT2))
+    cdf = a.data * _INV_SQRT2  # 0.5 * (1 + erf(x / sqrt 2)), built in place
+    _erf(cdf, out=cdf)
+    cdf += 1.0
+    cdf *= 0.5
     data = a.data * cdf
 
     def backward(g):
@@ -452,11 +472,26 @@ def reduce_max(a, axis: int, keepdims=False) -> Tensor:
     return Tensor._make(data, (a,), "max", backward)
 
 
+def _max_keepdims(x: np.ndarray, axis: int) -> np.ndarray:
+    """x.max(axis, keepdims=True) by halving the axis with np.maximum.
+
+    Max does not round, so the halving order gives the same values; numpy's
+    reduction over a short strided axis is several times slower.
+    """
+    lead = (slice(None),) * (axis % x.ndim)
+    n = x.shape[axis]
+    while n > 1:
+        half = (n + 1) // 2  # an odd middle element meets itself
+        x = np.maximum(x[lead + (slice(0, half),)], x[lead + (slice(n - half, n),)])
+        n = half
+    return x
+
+
 def softmax(a, axis: int = -1) -> Tensor:
     a = as_tensor(a)
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    data = e / e.sum(axis=axis, keepdims=True)
+    data = a.data - _max_keepdims(a.data, axis)
+    np.exp(data, out=data)
+    data /= data.sum(axis=axis, keepdims=True)
 
     def backward(g):
         dot = (g * data).sum(axis=axis, keepdims=True)
@@ -620,13 +655,11 @@ def unfold(a, kernel: int, stride: int = 1, pad: int = 0) -> Tensor:
             f"unfold kernel {kernel} larger than padded input {hp}x{wp}"
         )
     x = np.pad(a.data, ((0, 0), (pad, pad), (pad, pad), (0, 0))) if pad else a.data
-    cols = np.empty((n, oh, ow, kernel, kernel, c), dtype=x.dtype)
-    for ki in range(kernel):
-        for kj in range(kernel):
-            cols[:, :, :, ki, kj, :] = x[
-                :, ki : ki + oh * stride : stride, kj : kj + ow * stride : stride, :
-            ]
-    data = cols.reshape(n, oh * ow, kernel * kernel * c)
+    # (n, oh, ow, c, kernel, kernel) view of every window, copied once as (.., ki, kj, c)
+    windows = sliding_window_view(x, (kernel, kernel), axis=(1, 2))[:, ::stride, ::stride]
+    data = np.ascontiguousarray(windows.transpose(0, 1, 2, 4, 5, 3)).reshape(
+        n, oh * ow, kernel * kernel * c
+    )
 
     def backward(g):
         g = g.reshape(n, oh, ow, kernel, kernel, c)

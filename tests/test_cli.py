@@ -319,6 +319,8 @@ class TestMIL:
                 "--out",
                 str(run),
                 "--finetune",
+                "--batch-size",
+                "8",
                 "--epochs",
                 "2",
                 "--seed",
@@ -347,6 +349,32 @@ class TestMIL:
         saved = json.loads((run / "report.json").read_text())["mil"]
         evaluated = json.loads((tmp_path / "ft.json").read_text())["mil[test]"]
         assert evaluated == saved
+
+    def _finetune(self, corpus, pretrain_run, out, batch_size):
+        return main(
+            [
+                "train-mil", "--corpus", str(corpus), "--checkpoint",
+                str(pretrain_run / "checkpoint"), "--out", str(out), "--finetune",
+                "--epochs", "1", "--batch-size", str(batch_size), "--seed", "0",
+            ]
+        )
+
+    def test_finetune_uses_batch_size(self, corpus, pretrain_run, tmp_path, monkeypatch):
+        sizes = []
+        cross_entropy = ML.cross_entropy
+
+        def spy(logits, labels):
+            sizes.append(len(labels))
+            return cross_entropy(logits, labels)
+
+        monkeypatch.setattr(ML, "cross_entropy", spy)
+        assert self._finetune(corpus, pretrain_run, tmp_path / "ft", 4) == 0
+        # 14 training images: three full batches of 4, the last 2 images left out
+        assert sizes == [4, 4, 4]
+
+    def test_finetune_batch_larger_than_train_split(self, corpus, pretrain_run, tmp_path, capsys):
+        assert self._finetune(corpus, pretrain_run, tmp_path / "ft", 32) == 2
+        assert "exceeds the 14 training images" in capsys.readouterr().err
 
 
 @pytest.fixture(scope="module")

@@ -76,6 +76,32 @@ class TestCheckpoint:
         with pytest.raises(FormatError):
             D.load_checkpoint(tmp_path / "nope")
 
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_overwrite_cut_short_leaves_no_checkpoint(self, tmp_path, monkeypatch, k):
+        ckpt = tmp_path / "ckpt"
+        names = ("a", "b", "c")
+        D.save_checkpoint(ckpt, {"student": {n: T.parameter(np.zeros(2)) for n in names}})
+        write_tensor, written = D.write_tensor, []
+
+        def fail_after_k(path, array):
+            if len(written) == k:
+                raise OSError("disk full")
+            written.append(path)
+            write_tensor(path, array)
+
+        monkeypatch.setattr(D, "write_tensor", fail_after_k)
+        with pytest.raises(OSError):
+            D.save_checkpoint(ckpt, {"student": {n: T.parameter(np.ones(2)) for n in names}})
+        with pytest.raises(FormatError):
+            D.load_checkpoint(ckpt)
+        monkeypatch.undo()
+        D.save_checkpoint(ckpt, {"student": {n: T.parameter(np.ones(2)) for n in names}})
+        back, _ = D.load_checkpoint(ckpt)
+        assert all(back["student"][n].data.tolist() == [1.0, 1.0] for n in names)
+        assert sorted(p.name for p in ckpt.iterdir()) == ["manifest.json"] + [
+            f"student__{n}.ftc" for n in names
+        ]
+
     @pytest.mark.parametrize(
         "manifest",
         [

@@ -277,6 +277,34 @@ class TestTrainMil:
         _, h2 = M.train_mil(bags, bags[:10], cfg)
         assert h1 == h2
 
+    def test_evaluate_bags_equals_taped_forward(self, monkeypatch):
+        cfg = M.MILConfig(feature_dim=16, heads=2, bias_radius=3)
+        params = make_params(cfg)
+        params["msa0_bias"].data[...] = np.random.default_rng(26).normal(size=params["msa0_bias"].shape)
+        bags = planted_bags(cfg, n_per_class=2) + [random_bag(cfg, i=5, seed=s) for s in range(3)]
+        taped = []
+        for size in (4, 5):
+            group = [b for b in bags if b.instances.shape[0] == size]
+            logits = M.bag_logits(np.stack([b.instances for b in group]),
+                                  np.stack([b.positions for b in group]), params, cfg)
+            assert logits._backward is not None
+            taped.append(np.argmax(logits.numpy(), axis=1))
+        outputs = []
+        bag_logits = M.bag_logits
+
+        def spy(*args):
+            outputs.append(bag_logits(*args))
+            return outputs[-1]
+
+        monkeypatch.setattr(M, "bag_logits", spy)
+        preds = M.evaluate_bags(bags, params, cfg)
+        assert len(outputs) == 2 and all(o._backward is None for o in outputs)
+        assert preds.tobytes() == np.concatenate(taped).tobytes()
+        one = M.classify_bag(bags[-1], params, cfg)
+        assert outputs[-1]._backward is None
+        ref = bag_logits(bags[-1].instances, bags[-1].positions, params, cfg)
+        assert one.tobytes() == ref.numpy().tobytes()
+
     def test_attention_report_shapes(self):
         cfg = M.MILConfig(feature_dim=16, heads=2)
         params = make_params(cfg)

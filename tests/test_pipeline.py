@@ -26,6 +26,22 @@ class TestEmbedding:
         assert full.shape == (5, ARCH.feature_dim)
         np.testing.assert_allclose(full, chunked, rtol=0, atol=1e-6)
 
+    def test_embed_patches_equals_taped_forward(self, params, monkeypatch):
+        patches = np.random.default_rng(3).uniform(size=(5, 16, 16, 3)).astype(np.float32)
+        taped = bb.gap(bb.embed_patch(patches, params, ARCH))
+        assert taped._backward is not None  # the params require grad
+        outputs = []
+        embed_patch = bb.embed_patch
+
+        def spy(*args):
+            outputs.append(embed_patch(*args))
+            return outputs[-1]
+
+        monkeypatch.setattr(bb, "embed_patch", spy)
+        emb = P.embed_patches(patches, params, ARCH)
+        assert outputs and all(o._backward is None and o._parents == () for o in outputs)
+        assert emb.tobytes() == taped.numpy().tobytes()
+
     def test_image_patches_counts(self):
         images = np.zeros((3, 32, 32, 3))
         patches, per_image, positions = P.image_patches(images, 16)

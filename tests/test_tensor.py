@@ -1,5 +1,7 @@
 """Autodiff core: analytic oracles plus finite-difference gradient checks."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -267,3 +269,120 @@ class TestAdam:
         g = self.WD * np.array([1.0, -2.0])
         expected = np.array([1.0, -2.0]) - self.LR * g / (np.abs(g) + self.EPS)
         np.testing.assert_allclose(decayed.data, expected, rtol=1e-12)
+
+
+class TestNoGrad:
+    def test_no_tape_inside(self):
+        p = T.parameter(rng().normal(size=(2, 3)))
+        with T.no_grad():
+            y = T.softmax(T.gelu(p @ T.Tensor(np.ones((3, 4)))), axis=0).sum()
+        assert y._parents == () and y._backward is None and not y.requires_grad
+
+    def test_values_equal_taped_forward(self):
+        p = T.parameter(rng().normal(size=(2, 5, 5, 3)))
+        w = T.parameter(rng().normal(size=(3, 3, 3, 4)))
+
+        def f():
+            return T.softmax(T.gelu(T.conv2d(p, w, stride=2, pad=1)), axis=-2)
+
+        taped = f()
+        assert taped._backward is not None
+        with T.no_grad():
+            untaped = f()
+        assert untaped.data.tobytes() == taped.data.tobytes()
+
+    def test_flag_restored_after_exception(self):
+        p = T.parameter(np.ones(3))
+        with pytest.raises(RuntimeError):
+            with T.no_grad():
+                raise RuntimeError("inside")
+        assert (p * 2.0)._backward is not None
+
+    def test_nested(self):
+        p = T.parameter(np.ones(3))
+        with T.no_grad():
+            with T.no_grad():
+                assert (p * 2.0)._backward is None
+            assert (p * 2.0)._backward is None
+        assert (p * 2.0)._backward is not None
+
+    def test_backward_outside_unchanged(self):
+        x = rng().normal(size=(3, 4))
+
+        def grad():
+            p = T.parameter(x)
+            (T.softmax(p, axis=1) * T.Tensor(x)).sum().backward()
+            return p.grad
+
+        before = grad()
+        with T.no_grad():
+            T.softmax(T.parameter(x), axis=1)
+        assert grad().tobytes() == before.tobytes()
+
+
+# The formulas each kernel had before its rewrite; the kernels must give the same bytes.
+
+
+def reference_softmax(x, axis):
+    shifted = x - x.max(axis=axis, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=axis, keepdims=True)
+
+
+def reference_unfold(x, kernel, stride, pad):
+    n, h, w, c = x.shape
+    oh = (h + 2 * pad - kernel) // stride + 1
+    ow = (w + 2 * pad - kernel) // stride + 1
+    x = np.pad(x, ((0, 0), (pad, pad), (pad, pad), (0, 0))) if pad else x
+    cols = np.empty((n, oh, ow, kernel, kernel, c), dtype=x.dtype)
+    for ki in range(kernel):
+        for kj in range(kernel):
+            cols[:, :, :, ki, kj, :] = x[
+                :, ki : ki + oh * stride : stride, kj : kj + ow * stride : stride, :
+            ]
+    return cols.reshape(n, oh * ow, kernel * kernel * c)
+
+
+def reference_gelu(x):
+    from scipy.special import erf
+
+    return x * (0.5 * (1.0 + erf(x * (1.0 / math.sqrt(2.0)))))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+class TestKernelsEqualReferences:
+    @pytest.mark.parametrize("axis", [0, -2, -1])
+    @pytest.mark.parametrize("length", [1, 4, 7, 16])
+    def test_softmax(self, dtype, axis, length):
+        shape = [3, 5, 2]
+        shape[axis] = length
+        x = rng().normal(size=shape) * 4.0
+        x = np.round(x)  # many ties, including tied maxima
+        x.reshape(-1)[::5] = 0.0
+        x.reshape(-1)[1::5] = -0.0
+        x = x.astype(dtype)
+        with T.default_dtype(dtype):
+            out = T.softmax(T.Tensor(x), axis=axis).data
+        expected = reference_softmax(x, axis)
+        assert out.dtype == expected.dtype and out.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("kernel,stride,pad", [(3, 2, 1), (4, 4, 0), (3, 1, 0)])
+    def test_unfold(self, dtype, kernel, stride, pad):
+        x = rng().normal(size=(2, 9, 8, 3)).astype(dtype)
+        with T.default_dtype(dtype):
+            out = T.unfold(T.Tensor(x), kernel, stride=stride, pad=pad).data
+        expected = reference_unfold(x, kernel, stride, pad)
+        assert out.shape == expected.shape and out.tobytes() == expected.tobytes()
+
+    def test_gelu(self, dtype):
+        x = np.concatenate([rng().normal(size=500) * 3.0, [0.0, -0.0, 40.0, -40.0]]).astype(dtype)
+        with T.default_dtype(dtype):
+            out = T.gelu(T.Tensor(x)).data
+        expected = reference_gelu(x)
+        assert out.dtype == expected.dtype and out.tobytes() == expected.tobytes()
+
+
+def test_softmax_gradient_odd_non_last_axis():
+    x = rng().normal(size=(3, 7, 2))
+    w = np.asarray(rng().normal(size=(3, 7, 2)))
+    _check(lambda t: (T.softmax(t, axis=1) * T.Tensor(w)).sum(), x)
