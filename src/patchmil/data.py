@@ -52,25 +52,37 @@ def write_tensor(path, array: np.ndarray, meta: dict | None = None) -> None:
         fh.write(payload)
 
 
+def _read_header(fh, path) -> dict:
+    """Check the magic and parse the JSON header; leaves `fh` at the payload."""
+    magic = fh.read(8)
+    if magic != MAGIC:
+        raise FormatError(f"bad magic {magic!r} in {path}")
+    raw_len = fh.read(4)
+    if len(raw_len) != 4:
+        raise FormatError(f"truncated header length in {path}")
+    (hlen,) = struct.unpack("<I", raw_len)
+    blob = fh.read(hlen)
+    if len(blob) != hlen:
+        raise FormatError(f"truncated header in {path}")
+    try:
+        header = json.loads(blob.decode("utf-8"))
+    except ValueError as exc:
+        raise FormatError(f"unparseable header in {path}: {exc}") from exc
+    if header.get("version") != FORMAT_VERSION:
+        raise FormatError(f"unsupported version {header.get('version')} in {path}")
+    return header
+
+
+def tensor_shape(path) -> tuple:
+    """Shape of a container written by `write_tensor`, read from its header alone."""
+    with open(path, "rb") as fh:
+        return tuple(_read_header(fh, path)["shape"])
+
+
 def read_tensor(path):
     """Read a container written by `write_tensor`; returns (array, header)."""
     with open(path, "rb") as fh:
-        magic = fh.read(8)
-        if magic != MAGIC:
-            raise FormatError(f"bad magic {magic!r} in {path}")
-        raw_len = fh.read(4)
-        if len(raw_len) != 4:
-            raise FormatError(f"truncated header length in {path}")
-        (hlen,) = struct.unpack("<I", raw_len)
-        blob = fh.read(hlen)
-        if len(blob) != hlen:
-            raise FormatError(f"truncated header in {path}")
-        try:
-            header = json.loads(blob.decode("utf-8"))
-        except ValueError as exc:
-            raise FormatError(f"unparseable header in {path}: {exc}") from exc
-        if header.get("version") != FORMAT_VERSION:
-            raise FormatError(f"unsupported version {header.get('version')} in {path}")
+        header = _read_header(fh, path)
         shape = tuple(header["shape"])
         dtype = np.dtype(header["dtype"]).newbyteorder("<")
         expected = int(np.prod(shape)) * dtype.itemsize
@@ -92,6 +104,7 @@ def save_checkpoint(path, groups: dict, meta: dict | None = None) -> None:
     The manifest is what makes a checkpoint loadable, so an old one is removed
     before any tensor file is rewritten and the new one is moved into place
     last: a save cut short leaves no checkpoint rather than a mixed one.
+    Tensor files the new manifest does not list are removed after it.
     """
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
@@ -107,6 +120,11 @@ def save_checkpoint(path, groups: dict, meta: dict | None = None) -> None:
     partial = path / "manifest.json.partial"
     partial.write_text(json.dumps(manifest, indent=2, sort_keys=True))
     os.replace(partial, path / "manifest.json")
+    listed = {f"{group}__{name}.ftc" for group, names in manifest["groups"].items()
+              for name in names}
+    for stale in path.glob("*.ftc"):  # left by an earlier save with more tensors
+        if stale.name not in listed:
+            stale.unlink()
 
 
 def load_checkpoint(path):
@@ -324,12 +342,29 @@ def load_index(corpus_dir) -> list:
     return records
 
 
+def split_records(corpus_dir, split: str) -> list:
+    """The index records of one split, in index order; an empty split is refused."""
+    records = [r for r in load_index(corpus_dir) if r.split == split]
+    if not records:
+        raise ContractViolation(f"split {split!r} of corpus {corpus_dir} has no images")
+    return records
+
+
+def read_images(corpus_dir, records) -> np.ndarray:
+    """The images of `records` as one (N, side, side, 3) array, filled in place."""
+    first, _ = read_tensor(Path(corpus_dir) / records[0].path)
+    images = np.empty((len(records),) + first.shape, first.dtype)
+    images[0] = first
+    for i, rec in enumerate(records[1:], start=1):
+        images[i] = read_tensor(Path(corpus_dir) / rec.path)[0]
+    return images
+
+
 def load_split(corpus_dir, split: str):
     """All images of one split: (images (N, side, side, 3), labels, records)."""
-    records = [r for r in load_index(corpus_dir) if r.split == split]
-    images = np.stack([read_tensor(Path(corpus_dir) / r.path)[0] for r in records])
+    records = split_records(corpus_dir, split)
     labels = np.array([r.class_id for r in records])
-    return images, labels, records
+    return read_images(corpus_dir, records), labels, records
 
 
 def index_checksum(corpus_dir) -> str:

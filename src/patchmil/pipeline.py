@@ -3,7 +3,8 @@
 Whole images are tiled into encoder-sized patches; each patch embedding is the
 GAP of its feature map. A whole-image embedding (for linear probing) is the
 mean of its patch embeddings; a bag (for MIL) keeps the patch embeddings and
-their grid positions.
+their grid positions. A corpus split is read, tiled and embedded one block of
+images at a time, so its pixels are never all in memory at once.
 
 `ablation` is the one copy of the paper's ablation protocol, run by both
 `patchmil ablate` and the acceptance gate's desk experiment: linear probes of
@@ -17,6 +18,7 @@ from __future__ import annotations
 import dataclasses
 import time
 from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 
@@ -26,7 +28,7 @@ from . import metrics as MM
 from . import mil as ML
 from . import selfsup as S
 from . import tensor as T
-from .errors import ConfigError
+from .errors import ConfigError, ContractViolation
 
 # pretraining loss subsets of the loss ablation; the last is the full loss
 LOSS_ROWS = (
@@ -37,10 +39,11 @@ LOSS_ROWS = (
 )
 ABLATION_STAGES = ("probes", "ssl", "finetune", "bags", "mil")
 FINETUNE_LR = 3e-3
+EMBED_CHUNK = 256  # patches per encoder batch of `embed_patches`
 
 
 def embed_patches(patches: np.ndarray, params: dict, arch: bb.ArchConfig,
-                  chunk: int = 256) -> np.ndarray:
+                  chunk: int = EMBED_CHUNK) -> np.ndarray:
     """GAP patch embeddings (P, C) for an array of (P, side, side, 3) patches."""
     outs = []
     with T.no_grad():
@@ -51,31 +54,53 @@ def embed_patches(patches: np.ndarray, params: dict, arch: bb.ArchConfig,
 
 
 def image_patches(images: np.ndarray, patch_side: int):
-    """Tile every image; returns (all_patches, patches_per_image, positions)."""
-    tiles, positions = D.tile_image(images[0], patch_side)
-    per_image = tiles.shape[0]
-    all_tiles = [tiles]
-    for img in images[1:]:
-        t, _ = D.tile_image(img, patch_side)
-        all_tiles.append(t)
-    return np.concatenate(all_tiles, axis=0), per_image, positions
+    """Tile every image; returns (all_patches, patches_per_image, positions).
+
+    The tiles and positions are `data.tile_image`'s, image after image, made
+    with one reshape and one copy.
+    """
+    images = np.asarray(images)
+    n, h, w = images.shape[:3]
+    if patch_side > h or patch_side > w:
+        raise ContractViolation(f"patch side {patch_side} exceeds image size {h}x{w}")
+    rows, cols = h // patch_side, w // patch_side
+    rest = images.shape[3:]
+    grid = images[:, : rows * patch_side, : cols * patch_side].reshape(
+        (n, rows, patch_side, cols, patch_side) + rest
+    )
+    tiles = grid.swapaxes(2, 3).reshape((n * rows * cols, patch_side, patch_side) + rest)
+    positions = np.stack(np.divmod(np.arange(rows * cols, dtype=np.int64), cols), axis=1)
+    return tiles, rows * cols, positions
 
 
-def embed_images(images: np.ndarray, params: dict, arch: bb.ArchConfig) -> np.ndarray:
-    """Whole-image embeddings: mean of GAP patch embeddings per image."""
-    patches, per_image, _ = image_patches(images, arch.side)
-    emb = embed_patches(patches, params, arch)
-    return emb.reshape(images.shape[0], per_image, -1).mean(axis=1)
+def _embed_split(corpus_dir, split: str, params: dict, arch: bb.ArchConfig):
+    """Patch embeddings of a split, read, tiled and embedded one block at a time.
+
+    A block is as many images as one `embed_patches` chunk holds, so only one
+    block's pixels are in memory. When the patches per image divide the chunk
+    (4 or 16 on 64-pixel images), the encoder gets the very batches of the
+    whole split's patches. Returns (embeddings (N, patches per image, C),
+    positions, labels).
+    """
+    records = D.split_records(corpus_dir, split)
+    h, w = D.tensor_shape(Path(corpus_dir) / records[0].path)[:2]
+    tiles = (h // arch.side) * (w // arch.side)  # 0 makes image_patches raise
+    block = max(1, EMBED_CHUNK // max(tiles, 1))
+    emb = None
+    for start in range(0, len(records), block):
+        images = D.read_images(corpus_dir, records[start : start + block])
+        patches, per_image, positions = image_patches(images, arch.side)
+        out = embed_patches(patches, params, arch).reshape(len(images), per_image, -1)
+        if emb is None:
+            emb = np.empty((len(records),) + out.shape[1:], out.dtype)
+        emb[start : start + len(images)] = out
+    return emb, positions, np.array([r.class_id for r in records])
 
 
 def bags_from_corpus(corpus_dir, split: str, params: dict, arch: bb.ArchConfig):
     """One Bag per corpus image of the split (instances = patch embeddings)."""
-    images, labels, _ = D.load_split(corpus_dir, split)
-    patches, per_image, positions = image_patches(images, arch.side)
-    emb = embed_patches(patches, params, arch).reshape(images.shape[0], per_image, -1)
-    return [
-        ML.Bag(emb[i], positions, int(labels[i])) for i in range(images.shape[0])
-    ]
+    emb, positions, labels = _embed_split(corpus_dir, split, params, arch)
+    return [ML.Bag(emb[i], positions, int(labels[i])) for i in range(len(labels))]
 
 
 def bag_normalization(train_bags):
@@ -133,7 +158,7 @@ def finetune_mil(
     opt = T.Adam(trainable, weight_decay=cfg.weight_decay)
 
     def forward(batch_images):
-        tiles = np.concatenate([D.tile_image(img, arch.side)[0] for img in batch_images])
+        tiles = image_patches(batch_images, arch.side)[0]
         feature_map = bb.embed_patch(tiles, encoder, arch)
         instances = bb.gap(feature_map).reshape(len(batch_images), per_image, arch.feature_dim)
         pos = np.stack([positions] * len(batch_images))
@@ -209,12 +234,11 @@ def probe_predict(features: np.ndarray, w, b, norm) -> np.ndarray:
 
 def linear_probe_metrics(corpus_dir, params: dict, arch: bb.ArchConfig) -> dict:
     """Freeze the encoder, fit a linear classifier on train, score on test."""
-    train_x, train_y, _ = D.load_split(corpus_dir, "train")
-    test_x, test_y, _ = D.load_split(corpus_dir, "test")
-    f_tr = embed_images(train_x, params, arch)
-    f_te = embed_images(test_x, params, arch)
-    w, b, norm = train_linear_probe(f_tr, train_y)
-    preds = probe_predict(f_te, w, b, norm)
+    # a whole-image feature is the mean of the image's patch embeddings
+    f_tr, _, train_y = _embed_split(corpus_dir, "train", params, arch)
+    f_te, _, test_y = _embed_split(corpus_dir, "test", params, arch)
+    w, b, norm = train_linear_probe(f_tr.mean(axis=1), train_y)
+    preds = probe_predict(f_te.mean(axis=1), w, b, norm)
     return MM.metrics_from_predictions(preds, test_y)
 
 
@@ -239,8 +263,8 @@ def ablation(corpus_dir, ssl_cfg: S.SSLConfig, mil_cfg: ML.MILConfig,
         random_params = bb.init_backbone(np.random.default_rng(ssl_cfg.seed), arch)
         report = {"linear probe (random init)": linear_probe_metrics(corpus_dir, random_params, arch)}
     with _timed(seconds, "ssl"):
-        images, _, _ = D.load_split(corpus_dir, "train")
-        patches, _, _ = image_patches(images, arch.side)
+        # no name for the images: the patches are the one copy SSL needs
+        patches, _, _ = image_patches(D.load_split(corpus_dir, "train")[0], arch.side)
     for terms in LOSS_ROWS:
         with _timed(seconds, "ssl"):
             state = S.pretrain(patches, dataclasses.replace(ssl_cfg, loss_terms=terms))

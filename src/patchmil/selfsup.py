@@ -133,7 +133,10 @@ def _resized_crop(img, rng):
     if crop == side:
         return patch
     zoom = side / crop
-    out = ndimage.zoom(patch, (zoom, zoom, 1.0), order=1)
+    # one 2-D zoom per channel: the same values as one (zoom, zoom, 1) zoom of
+    # the (H, W, 3) crop, and faster
+    out = np.stack([ndimage.zoom(patch[:, :, c], zoom, order=1) for c in range(patch.shape[2])],
+                   axis=-1)
     return out[:side, :side]
 
 

@@ -463,9 +463,9 @@ def reduce_max(a, axis: int, keepdims=False) -> Tensor:
     def backward(g):
         g = np.asarray(g)
         expanded = data if keepdims else np.expand_dims(data, axis)
-        mask = a.data == expanded
+        mask = (a.data == expanded).astype(a.data.dtype)
         # split ties evenly so the gradient check stays honest
-        mask = mask / mask.sum(axis=axis, keepdims=True)
+        mask /= mask.sum(axis=axis, keepdims=True)
         gexp = g if keepdims else np.expand_dims(g, axis)
         return (mask * gexp,)
 

@@ -58,6 +58,14 @@ class TestTensorContainer:
         with pytest.raises(FormatError, match="version"):
             D.read_tensor(path)
 
+    def test_tensor_shape_reads_the_header(self, tmp_path):
+        path = tmp_path / "t.ftc"
+        D.write_tensor(path, np.zeros((5, 3, 2), dtype=np.float32))
+        assert D.tensor_shape(path) == (5, 3, 2)
+        path.write_bytes(b"NOTMAGIC" + path.read_bytes()[8:])
+        with pytest.raises(FormatError, match="magic"):
+            D.tensor_shape(path)
+
 
 class TestCheckpoint:
     def test_round_trip(self, tmp_path):
@@ -101,6 +109,18 @@ class TestCheckpoint:
         assert sorted(p.name for p in ckpt.iterdir()) == ["manifest.json"] + [
             f"student__{n}.ftc" for n in names
         ]
+
+    def test_overwrite_with_fewer_tensors_removes_unlisted_files(self, tmp_path):
+        ckpt = tmp_path / "ckpt"
+        D.save_checkpoint(ckpt, {"student": {n: T.parameter(np.zeros(2)) for n in "abc"},
+                                 "teacher": {"a": T.parameter(np.zeros(2))}})
+        (ckpt / "notes.txt").write_text("kept")
+        D.save_checkpoint(ckpt, {"student": {"a": T.parameter(np.ones(2))}})
+        assert sorted(p.name for p in ckpt.iterdir()) == [
+            "manifest.json", "notes.txt", "student__a.ftc"
+        ]
+        back, _ = D.load_checkpoint(ckpt)
+        assert back["student"]["a"].data.tolist() == [1.0, 1.0]
 
     @pytest.mark.parametrize(
         "manifest",
@@ -163,6 +183,24 @@ class TestCorpus:
         assert images.shape == (6 * 7 * 2, 32, 32, 3)
         assert set(labels) == set(range(7))
         assert images.min() >= 0.0 and images.max() <= 1.0
+
+    def test_load_split_equals_stack_reference(self, tmp_path):
+        D.generate_corpus(SMALL, tmp_path / "c")
+        for split in D.SPLITS:
+            images, labels, records = D.load_split(tmp_path / "c", split)
+            want = np.stack([D.read_tensor(tmp_path / "c" / r.path)[0] for r in records])
+            assert images.dtype == want.dtype and images.shape == want.shape
+            assert images.tobytes() == want.tobytes()
+            assert labels.tolist() == [r.class_id for r in records]
+            assert [r.image_id for r in records] == [
+                r.image_id for r in D.load_index(tmp_path / "c") if r.split == split
+            ]
+
+    def test_empty_split_is_refused(self, tmp_path):
+        cfg = D.CorpusConfig(counts=(1, 0, 1), magnifications=(10,), side=32, seed=7)
+        D.generate_corpus(cfg, tmp_path / "c")
+        with pytest.raises(ContractViolation, match="'val'.*no images"):
+            D.load_split(tmp_path / "c", "val")
 
     def test_class_mean_colors_separated(self, tmp_path):
         cfg = D.CorpusConfig(counts=(12, 0, 0), magnifications=(10,), side=32, seed=5)

@@ -1,21 +1,76 @@
 """Image tiling/embedding glue and the linear probe."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from patchmil import backbone as bb
 from patchmil import data as D
+from patchmil import metrics as MM
+from patchmil import mil as ML
 from patchmil import pipeline as P
-from patchmil.errors import ConfigError
+from patchmil.errors import ConfigError, ContractViolation
 
 ARCH = bb.ArchConfig(
     side=16, local_channels=(4, 4, 8), global_dim=8, heads=2, window=4, embed_dim=8, parts=2
 )
+# 64-pixel images hold 16 patches of ARCH.side, so a block is 16 images and
+# the 2 x 7 x 2 = 28 train images of this corpus span two blocks
+BLOCKS_CORPUS = D.CorpusConfig(counts=(2, 1, 1), magnifications=(10, 20), side=64, seed=3)
 
 
 @pytest.fixture(scope="module")
 def params():
     return bb.init_backbone(np.random.default_rng(0), ARCH)
+
+
+@pytest.fixture(scope="module")
+def blocks_corpus(tmp_path_factory):
+    root = tmp_path_factory.mktemp("blocks") / "c"
+    D.generate_corpus(BLOCKS_CORPUS, root)
+    return root
+
+
+# -- the whole-split path, kept as the reference for the block-by-block one --
+
+
+def reference_image_patches(images, patch_side):
+    """One `tile_image` stack per image, then their concatenation."""
+    tiles, positions = D.tile_image(images[0], patch_side)
+    all_tiles = [tiles] + [D.tile_image(img, patch_side)[0] for img in images[1:]]
+    return np.concatenate(all_tiles, axis=0), tiles.shape[0], positions
+
+
+def reference_load_split(corpus_dir, split):
+    records = [r for r in D.load_index(corpus_dir) if r.split == split]
+    images = np.stack([D.read_tensor(corpus_dir / r.path)[0] for r in records])
+    return images, np.array([r.class_id for r in records])
+
+
+def reference_bags(corpus_dir, split, params, arch):
+    images, labels = reference_load_split(corpus_dir, split)
+    patches, per_image, positions = reference_image_patches(images, arch.side)
+    emb = P.embed_patches(patches, params, arch).reshape(len(images), per_image, -1)
+    return [ML.Bag(emb[i], positions, int(labels[i])) for i in range(len(images))]
+
+
+def reference_embed_images(images, params, arch):
+    patches, per_image, _ = reference_image_patches(images, arch.side)
+    emb = P.embed_patches(patches, params, arch)
+    return emb.reshape(images.shape[0], per_image, -1).mean(axis=1)
+
+
+def reference_probe_metrics(corpus_dir, params, arch):
+    train_x, train_y = reference_load_split(corpus_dir, "train")
+    test_x, test_y = reference_load_split(corpus_dir, "test")
+    w, b, norm = P.train_linear_probe(reference_embed_images(train_x, params, arch), train_y)
+    preds = P.probe_predict(reference_embed_images(test_x, params, arch), w, b, norm)
+    return MM.metrics_from_predictions(preds, test_y)
+
+
+def same_bytes(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 class TestEmbedding:
@@ -49,13 +104,19 @@ class TestEmbedding:
         assert per_image == 4
         assert positions.shape == (4, 2)
 
-    def test_embed_images_is_mean_of_patch_embeddings(self, params):
-        images = np.random.default_rng(2).uniform(size=(2, 32, 32, 3))
-        img_emb = P.embed_images(images, params, ARCH)
-        patches, per_image, _ = P.image_patches(images, 16)
-        patch_emb = P.embed_patches(patches, params, ARCH)
-        manual = patch_emb.reshape(2, per_image, -1).mean(axis=1)
-        np.testing.assert_allclose(img_emb, manual, atol=1e-7)
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("side", [32, 40])  # 40 is no multiple of the 16-pixel patch
+    def test_image_patches_equals_tile_image_reference(self, dtype, side):
+        images = np.random.default_rng(5).uniform(size=(3, side, side, 3)).astype(dtype)
+        patches, per_image, positions = P.image_patches(images, 16)
+        want, want_per_image, want_positions = reference_image_patches(images, 16)
+        assert same_bytes(patches, want)
+        assert per_image == want_per_image == 4
+        assert same_bytes(positions, want_positions)
+
+    def test_image_patches_rejects_patch_larger_than_image(self):
+        with pytest.raises(ContractViolation):
+            P.image_patches(np.zeros((2, 8, 8, 3)), 16)
 
 
 class TestBags:
@@ -85,6 +146,52 @@ class TestBags:
                 np.testing.assert_array_equal(got.instances, want.instances)
                 np.testing.assert_array_equal(got.positions, want.positions)
                 assert got.label == want.label
+
+
+class TestBlockByBlock:
+    """Splits embedded block by block equal the whole-split path, in bounded memory."""
+
+    def test_bags_equal_whole_split_reference(self, blocks_corpus, params):
+        n_train = len(D.split_records(blocks_corpus, "train"))
+        assert n_train > P.EMBED_CHUNK // (BLOCKS_CORPUS.side // ARCH.side) ** 2
+        for split in D.SPLITS:
+            bags = P.bags_from_corpus(blocks_corpus, split, params, ARCH)
+            want = reference_bags(blocks_corpus, split, params, ARCH)
+            assert len(bags) == len(want)
+            for got, ref in zip(bags, want):
+                assert same_bytes(got.instances, ref.instances)
+                assert same_bytes(got.positions, ref.positions)
+                assert got.label == ref.label
+
+    def test_linear_probe_equals_whole_split_reference(self, blocks_corpus, params):
+        got = P.linear_probe_metrics(blocks_corpus, params, ARCH)
+        assert got == reference_probe_metrics(blocks_corpus, params, ARCH)
+
+    def test_empty_split_is_refused(self, tmp_path, params):
+        cfg = D.CorpusConfig(counts=(1, 0, 1), magnifications=(10,), side=32, seed=0)
+        D.generate_corpus(cfg, tmp_path / "c")
+        with pytest.raises(ContractViolation, match="no images"):
+            P.bags_from_corpus(tmp_path / "c", "val", params, ARCH)
+
+    def test_peak_memory_does_not_grow_with_split(self, tmp_path, params):
+        def traced_peak(counts):
+            cfg = D.CorpusConfig(counts=counts, magnifications=(10, 20), side=64, seed=3)
+            D.generate_corpus(cfg, tmp_path / str(counts[0]))
+            images, _, _ = D.load_split(tmp_path / str(counts[0]), "train")
+            P.bags_from_corpus(tmp_path / str(counts[0]), "train", params, ARCH)  # warm-up
+            tracemalloc.start()
+            try:
+                P.bags_from_corpus(tmp_path / str(counts[0]), "train", params, ARCH)
+                return tracemalloc.get_traced_memory()[1], images.nbytes
+            finally:
+                tracemalloc.stop()
+
+        small_peak, small_pixels = traced_peak((2, 1, 1))
+        large_peak, large_pixels = traced_peak((8, 1, 1))
+        assert large_pixels == 4 * small_pixels
+        # the whole-split path holds the pixels about three times, so its
+        # peak grows by about three times the extra pixels
+        assert large_peak - small_peak < large_pixels - small_pixels
 
 
 class TestLinearProbe:

@@ -27,7 +27,56 @@ SMALL_ARCH = bb.ArchConfig(
 )
 
 
+def reference_resized_crop(img, rng):
+    """The crop-zoom as one 3-D `ndimage.zoom` of the (H, W, 3) crop."""
+    from scipy import ndimage
+
+    side = img.shape[0]
+    for _ in range(10):
+        crop = int(round(rng.uniform(0.8, 1.0) * side))
+        if crop >= 4:
+            break
+    r = rng.integers(0, side - crop + 1)
+    c = rng.integers(0, side - crop + 1)
+    patch = img[r : r + crop, c : c + crop]
+    if crop == side:
+        return patch
+    zoom = side / crop
+    return ndimage.zoom(patch, (zoom, zoom, 1.0), order=1)[:side, :side]
+
+
+class FixedCrop:
+    """Stands in for the generator: draws a `crop`-pixel square at a fixed offset."""
+
+    def __init__(self, crop, side):
+        self.crop, self.side = crop, side
+
+    def uniform(self, low, high):
+        return self.crop / self.side  # exact for a side of 32
+
+    def integers(self, low, high):
+        return (high - 1) // 2
+
+
 class TestAugment:
+    @pytest.mark.parametrize("crop", range(26, 33))
+    def test_crop_zoom_equals_3d_zoom(self, crop):
+        img = np.random.default_rng(crop).uniform(size=(32, 32, 3))
+        got = S._resized_crop(img, FixedCrop(crop, 32))
+        want = reference_resized_crop(img, FixedCrop(crop, 32))
+        assert got.shape == want.shape == (32, 32, 3)
+        assert got.tobytes() == want.tobytes()
+
+    def test_view_batches_equal_3d_zoom_reference(self, monkeypatch):
+        patches = np.random.default_rng(4).uniform(size=(12, 32, 32, 3))
+        cfg = S.SSLConfig(arch=bb.ArchConfig(), epochs=2, batch_size=4, seed=9)
+        got = list(S.view_batches(patches, cfg))
+        monkeypatch.setattr(S, "_resized_crop", reference_resized_crop)
+        want = list(S.view_batches(patches, cfg))
+        assert len(got) == len(want) == 6
+        for (gs, gt), (ws, wt) in zip(got, want):
+            assert gs.tobytes() == ws.tobytes() and gt.tobytes() == wt.tobytes()
+
     def test_reproducible_under_seed(self):
         patch = np.random.default_rng(0).uniform(size=(16, 16, 3))
         a = S.augment(patch, np.random.default_rng(42))

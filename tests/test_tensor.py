@@ -212,6 +212,51 @@ class TestGradientChecks:
         _check(lambda t: (T.pad2d(t, 1) ** 2).sum(), x)
 
 
+# one graph per op: (function of the leaves, leaf shapes); inputs are kept
+# where every op is defined and smooth
+FLOAT32_OPS = {
+    "add": (lambda a, b: a + b, [(3, 4), (4,)]),
+    "sub": (lambda a, b: a - b, [(3, 4), (3, 1)]),
+    "mul": (lambda a, b: a * b, [(3, 4), (4,)]),
+    "div": (lambda a, b: a / (b * b + 1.0), [(3, 4), (3, 4)]),
+    "power": (lambda a: (a * a + 1.0) ** 1.5, [(5,)]),
+    "exp": (T.exp, [(5,)]),
+    "log": (lambda a: T.log(a * a + 1.0), [(5,)]),
+    "sqrt": (lambda a: T.sqrt(a * a + 1.0), [(5,)]),
+    "relu": (T.relu, [(5,)]),
+    "gelu": (T.gelu, [(5,)]),
+    "tanh": (T.tanh, [(5,)]),
+    "sigmoid": (T.sigmoid, [(5,)]),
+    "reduce_sum": (lambda a: T.reduce_sum(a, axis=1), [(3, 4)]),
+    "reduce_mean": (lambda a: T.reduce_mean(a, axis=0), [(3, 4)]),
+    "reduce_max": (lambda a: T.reduce_max(a, axis=1), [(3, 4)]),
+    "softmax": (lambda a: T.softmax(a, axis=1), [(3, 4)]),
+    "l2_normalize": (lambda a: T.l2_normalize(a, axis=1), [(3, 4)]),
+    "reshape": (lambda a: T.reshape(a, (12,)), [(3, 4)]),
+    "transpose": (lambda a: T.transpose(a, (1, 0)), [(3, 4)]),
+    "swapaxes": (lambda a: T.swapaxes(a, 0, 1), [(3, 4)]),
+    "concat": (lambda a, b: T.concat([a, b], axis=0), [(3, 4), (2, 4)]),
+    "take": (lambda a: a[[0, 2], 1:3], [(3, 4)]),
+    "pad2d": (lambda a: T.pad2d(a, 1), [(1, 3, 3, 2)]),
+    "matmul": (lambda a, b: a @ b, [(3, 4), (4, 5)]),
+    "unfold": (lambda a: T.unfold(a, 3, stride=1, pad=1), [(1, 4, 4, 2)]),
+    "conv2d": (lambda a, w, b: T.conv2d(a, w, b, pad=1), [(1, 4, 4, 2), (3, 3, 2, 3), (3,)]),
+}
+
+
+@pytest.mark.parametrize("op", sorted(FLOAT32_OPS))
+def test_float32_build_gives_float32_leaf_gradients(op):
+    fn, shapes = FLOAT32_OPS[op]
+    with T.default_dtype(np.float32):
+        leaves = [T.parameter(rng().normal(size=shape)) for shape in shapes]
+        out = fn(*leaves)
+        weights = T.Tensor(rng().normal(size=out.shape))
+        (out * weights).sum().backward()
+    for leaf in leaves:
+        assert leaf.data.dtype == np.float32
+        assert leaf.grad.dtype == np.float32, op
+
+
 class TestDeterminism:
     def test_forward_bit_identical(self):
         r = np.random.default_rng(0)
