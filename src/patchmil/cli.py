@@ -1,6 +1,9 @@
 """Command-line surface: corpus generation, pretraining, probing, MIL, ablations.
 
-Exit codes: 0 success, 2 usage error, 1 runtime failure. Every training
+Exit codes: 0 success, 2 usage error, 1 runtime failure. This is the one
+module that writes run-directory files: the per-step `losses.csv` of
+`pretrain` and the per-epoch `history.csv` of `train-mil` come from the
+training loops' `progress(record)` callbacks. Every training
 command writes its fully resolved configuration into the run directory, and
 a run directory is never overwritten once it holds a config. The config is
 written last, after every other output of the run, so a run that crashed
@@ -124,16 +127,33 @@ def cmd_pretrain(args) -> int:
     cfg.validate()
     run = _fresh_run_dir(args.out)
     patches = _load_train_patches(corpus, cfg.arch.side)
-    state = S.pretrain(patches, cfg, log_path=run / "losses.csv")
+    with open(run / "losses.csv", "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["step", "L_global", "L_parts", "L_var", "L_cov", "L_all", "lr", "grad_norm"])
+
+        def log(record):  # flushed per row, so a killed run keeps its log to its last step
+            columns = ("global", "parts", "var", "cov", "all", "lr", "grad_norm")
+            writer.writerow([record["step"]] + [f"{record[k]:.6f}" for k in columns])
+            fh.flush()
+
+        state = S.pretrain(patches, cfg, progress=log)
     _save_ssl_checkpoint(run / "checkpoint", state)
     _write_config(run, args)
     print(f"pretrained {state.step_count} steps; checkpoint at {run / 'checkpoint'}")
     return 0
 
 
+def _checkpoint_item(items: dict, key: str, kind: str, checkpoint):
+    """items[key], or a FormatError naming the missing group or meta key."""
+    if key not in items:
+        raise FormatError(f"checkpoint {checkpoint} has no {kind} {key!r}")
+    return items[key]
+
+
 def _load_backbone(checkpoint: str):
     groups, meta = D.load_checkpoint(checkpoint)
-    return groups["student"], _arch_from_meta(meta["arch"])
+    return (_checkpoint_item(groups, "student", "group", checkpoint),
+            _arch_from_meta(_checkpoint_item(meta, "arch", "meta key", checkpoint)))
 
 
 def cmd_linear_probe(args) -> int:
@@ -166,20 +186,23 @@ def cmd_train_mil(args) -> int:
     mil_cfg.validate()
     run = _fresh_run_dir(args.out)
     groups = {}
-    if args.finetune:
-        encoder, params, ft_history = P.finetune_mil(
-            corpus, backbone_params, arch, mil_cfg, epochs=mil_cfg.epochs,
-            batch_size=mil_cfg.batch_size, lr=args.finetune_lr,
-        )
-        history = [dict(h, train_acc="") for h in ft_history]
-        test_bags = P.bags_from_corpus(corpus, "test", encoder, arch)
-        report = P.bag_metrics(test_bags, params, mil_cfg)
-        groups["student"] = encoder
-    else:
-        bags, norm = P.frozen_bags(corpus, backbone_params, arch)
-        params, history = ML.train_mil(bags["train"], bags["val"], mil_cfg)
-        report = P.bag_metrics(bags["test"], params, mil_cfg)
-        groups["norm"] = {"mu": norm[0], "sd": norm[1]}
+    with open(run / "history.csv", "w", newline="") as fh:
+        # fine-tune records have no train_acc: restval leaves it blank
+        writer = csv.DictWriter(fh, ["epoch", "loss", "train_acc", "val_acc"], restval="")
+        writer.writeheader()
+        if args.finetune:
+            encoder, params, _ = P.finetune_mil(
+                corpus, backbone_params, arch, mil_cfg, epochs=mil_cfg.epochs,
+                batch_size=mil_cfg.batch_size, lr=args.finetune_lr, progress=writer.writerow,
+            )
+            test_bags = P.bags_from_corpus(corpus, "test", encoder, arch)
+            groups["student"] = encoder
+        else:
+            bags, norm = P.frozen_bags(corpus, backbone_params, arch)
+            params, _ = ML.train_mil(bags["train"], bags["val"], mil_cfg, progress=writer.writerow)
+            test_bags = bags["test"]
+            groups["norm"] = {"mu": norm[0], "sd": norm[1]}
+    report = P.bag_metrics(test_bags, params, mil_cfg)
     groups["mil"] = params
     D.save_checkpoint(
         run / "checkpoint",
@@ -191,10 +214,6 @@ def cmd_train_mil(args) -> int:
             "finetuned": bool(args.finetune),
         },
     )
-    with open(run / "history.csv", "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=["epoch", "loss", "train_acc", "val_acc"])
-        writer.writeheader()
-        writer.writerows(history)
     (run / "report.json").write_text(MM.report_json({"mil": report}))
     (run / "report.txt").write_text(MM.report_table({"mil": report}))
     _write_config(run, args)
@@ -203,18 +222,20 @@ def cmd_train_mil(args) -> int:
 
 
 def _load_mil_run(run_dir: str):
-    groups, meta = D.load_checkpoint(Path(run_dir) / "checkpoint")
-    arch = _arch_from_meta(meta["arch"])
-    mil_meta = dict(meta["mil"])
-    mil_cfg = ML.MILConfig(**mil_meta)
+    checkpoint = Path(run_dir) / "checkpoint"
+    groups, meta = D.load_checkpoint(checkpoint)
+    arch = _arch_from_meta(_checkpoint_item(meta, "arch", "meta key", checkpoint))
+    mil_cfg = ML.MILConfig(**_checkpoint_item(meta, "mil", "meta key", checkpoint))
+    mil_params = _checkpoint_item(groups, "mil", "group", checkpoint)
     if "student" in groups:  # fine-tuned runs carry their own encoder
         backbone_params = groups["student"]
     else:
-        backbone_params, _ = _load_backbone(meta["backbone_checkpoint"])
+        source = _checkpoint_item(meta, "backbone_checkpoint", "meta key", checkpoint)
+        backbone_params, _ = _load_backbone(source)
     norm = None
     if "norm" in groups:
         norm = (groups["norm"]["mu"].data, groups["norm"]["sd"].data)
-    return groups["mil"], mil_cfg, backbone_params, arch, norm
+    return mil_params, mil_cfg, backbone_params, arch, norm
 
 
 def _split_bags(corpus, split, backbone_params, arch, norm):
@@ -298,16 +319,35 @@ def cmd_export_attention(args) -> int:
 
 
 class _CommandParser(argparse.ArgumentParser):
-    """A subcommand parser that records the dest of every flag it defines."""
+    """A subcommand parser that records the action of every flag it defines."""
 
     def __init__(self, *args, **kwargs):
-        self.dests: set[str] = set()
+        self.flags: dict[str, argparse.Action] = {}
         super().__init__(*args, **kwargs)
 
     def add_argument(self, *args, **kwargs):
         action = super().add_argument(*args, **kwargs)
-        self.dests.add(action.dest)
+        self.flags[action.dest] = action
         return action
+
+
+# JSON types a --config value may have, by the type of its flag
+_CONFIG_TYPES = {int: ((int,), "an integer"), float: ((int, float), "a number"),
+                 None: ((str,), "a string")}
+
+
+def _flag_default(key: str, value, action: argparse.Action):
+    """A --config value as its flag's default; ConfigError if its JSON type does not fit."""
+    if action.nargs == 0:  # store_true
+        types, kind = (bool,), "true or false"
+    else:
+        types, kind = _CONFIG_TYPES[action.type]
+    fits = isinstance(value, types) and (bool in types or not isinstance(value, bool))
+    if not (fits or (value is None and action.default is None)):
+        raise ConfigError(f"{key} must be {kind}, not {json.dumps(value)}")
+    if action.choices is not None and value not in action.choices:
+        raise ConfigError(f"{key} must be one of {', '.join(action.choices)}, not {value!r}")
+    return float(value) if action.type is float else value
 
 
 def build_parser() -> tuple[argparse.ArgumentParser, dict]:
@@ -410,12 +450,18 @@ def main(argv=None) -> int:
                   "not an object of flag values", file=sys.stderr)
             return 2
         overrides.pop("command", None)
-        unknown = sorted(set(overrides) - commands[command].dests)
+        flags = commands[command].flags
+        unknown = sorted(set(overrides) - set(flags))
         if unknown:
             print(f"usage error: {known.config} sets {', '.join(unknown)}, "
                   f"which '{command}' has no flag for", file=sys.stderr)
             return 2
-        commands[command].set_defaults(**overrides)
+        try:
+            defaults = {k: _flag_default(k, v, flags[k]) for k, v in overrides.items()}
+        except ConfigError as exc:
+            print(f"usage error: {known.config}: {exc}", file=sys.stderr)
+            return 2
+        commands[command].set_defaults(**defaults)
     args = parser.parse_args(argv)
     try:
         return args.func(args)

@@ -6,6 +6,8 @@ relative-position bias, then through an adaptive pooling step that softmaxes
 across instances per output coordinate. A linear classifier on the pooled bag
 vector is trained with cross-entropy. Max/mean/soft/gated-attention poolings
 are kept as ablation baselines.
+`train_epochs` is the one supervised epoch loop, for `train_mil` on frozen
+bags and for `pipeline.finetune_mil` end to end.
 """
 
 from __future__ import annotations
@@ -64,6 +66,10 @@ class MILConfig:
             )
         if self.feature_dim % self.heads != 0:
             raise ConfigError("feature_dim must be divisible by heads")
+        if self.batch_size < 1:
+            raise ConfigError(f"batch size must be at least 1, got {self.batch_size}")
+        if self.epochs < 0:
+            raise ConfigError(f"epochs must be at least 0, got {self.epochs}")
 
 
 def init_mil(rng: np.random.Generator, cfg: MILConfig) -> dict:
@@ -216,50 +222,68 @@ def evaluate_bags(bags, params: dict, cfg: MILConfig):
     return preds
 
 
-def train_mil(train_bags, val_bags, cfg: MILConfig, progress=None):
-    """Cross-entropy training; returns (best params, history).
+def train_epochs(params: dict, lr: float, weight_decay: float, epochs: int, batches, scores,
+                 progress=None) -> list:
+    """Adam on cross-entropy, epoch by epoch; returns the history.
 
-    Keeps the parameters of the epoch with the best validation accuracy.
+    `batches()` yields an epoch's (logits, labels), `scores()` its accuracies
+    with "val_acc". Each epoch's record {"epoch", "loss", **scores()} goes to
+    the history and to `progress`; the params end at the first best val_acc.
+    """
+    opt = Adam(params, weight_decay=weight_decay)
+    history = []
+    best = {k: p.data.copy() for k, p in params.items()}
+    best_acc = -1.0
+    for epoch in range(epochs):
+        losses = []
+        for logits, labels in batches():
+            loss = cross_entropy(logits, labels)
+            loss.backward()
+            opt.step(lr)
+            losses.append(loss.item())
+        history.append({"epoch": epoch, "loss": float(np.mean(losses)), **scores()})
+        if history[-1]["val_acc"] > best_acc:
+            best_acc = history[-1]["val_acc"]
+            best = {k: p.data.copy() for k, p in params.items()}
+        if progress is not None:
+            progress(history[-1])
+    for k, p in params.items():
+        p.data[...] = best[k]
+    return history
+
+
+def train_mil(train_bags, val_bags, cfg: MILConfig, progress=None):
+    """Cross-entropy training on frozen bags; returns (best params, history).
+
+    Batches hold bags of one size. Without val bags, train_acc is the val_acc.
     """
     cfg.validate()
     if not train_bags:
         raise ContractViolation("train_mil needs at least one training bag")
     rng = np.random.default_rng(cfg.seed)
     params = init_mil(rng, cfg)
-    opt = Adam(params, weight_decay=cfg.weight_decay)
-    history = []
-    best = {k: p.data.copy() for k, p in params.items()}
-    best_acc = -1.0
     labels = np.array([b.label for b in train_bags])
+    val_labels = np.array([b.label for b in val_bags])
     groups = _group_by_size(train_bags)
-    for epoch in range(cfg.epochs):
-        losses = []
-        for _, idx in groups.items():
+
+    def batches():
+        for idx in groups.values():
             idx = np.array(idx)
             rng.shuffle(idx)
             for s in range(0, len(idx), cfg.batch_size):
                 chunk = idx[s : s + cfg.batch_size]
                 inst = np.stack([train_bags[i].instances for i in chunk])
                 pos = np.stack([train_bags[i].positions for i in chunk])
-                loss = cross_entropy(bag_logits(inst, pos, params, cfg), labels[chunk])
-                loss.backward()
-                opt.step(cfg.lr)
-                losses.append(loss.item())
-        train_preds = evaluate_bags(train_bags, params, cfg)
-        train_acc = float((train_preds == labels).mean())
-        if val_bags:
-            val_preds = evaluate_bags(val_bags, params, cfg)
-            val_acc = float((val_preds == np.array([b.label for b in val_bags])).mean())
-        else:
-            val_acc = train_acc
-        history.append({"epoch": epoch, "loss": float(np.mean(losses)), "train_acc": train_acc, "val_acc": val_acc})
-        if val_acc > best_acc:
-            best_acc = val_acc
-            best = {k: p.data.copy() for k, p in params.items()}
-        if progress is not None:
-            progress(history[-1])
-    for k, p in params.items():
-        p.data[...] = best[k]
+                yield bag_logits(inst, pos, params, cfg), labels[chunk]
+
+    def scores():
+        train_acc = float((evaluate_bags(train_bags, params, cfg) == labels).mean())
+        if not val_bags:
+            return {"train_acc": train_acc, "val_acc": train_acc}
+        val_acc = float((evaluate_bags(val_bags, params, cfg) == val_labels).mean())
+        return {"train_acc": train_acc, "val_acc": val_acc}
+
+    history = train_epochs(params, cfg.lr, cfg.weight_decay, cfg.epochs, batches, scores, progress)
     return params, history
 
 

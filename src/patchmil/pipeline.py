@@ -5,6 +5,8 @@ GAP of its feature map. A whole-image embedding (for linear probing) is the
 mean of its patch embeddings; a bag (for MIL) keeps the patch embeddings and
 their grid positions. A corpus split is read, tiled and embedded one block of
 images at a time, so its pixels are never all in memory at once.
+`finetune_mil` trains the encoder and a MIL head end to end with
+`mil.train_epochs`, the loop that `mil.train_mil` uses on frozen bags.
 
 `ablation` is the one copy of the paper's ablation protocol, run by both
 `patchmil ablate` and the acceptance gate's desk experiment: linear probes of
@@ -140,9 +142,11 @@ def finetune_mil(
 ):
     """Train encoder and MIL head end to end with cross-entropy on bags.
 
-    Starts from `init_params` (typically pretrained encoder weights), keeps
-    the parameters of the epoch with the best validation accuracy, and
-    returns (encoder params, MIL params, history).
+    Starts from `init_params` (typically pretrained encoder weights) and runs
+    `mil.train_epochs` on full batches of training images, one permutation
+    per epoch. Keeps the parameters of the epoch with the best validation
+    accuracy and returns (encoder params, MIL params, history); the history
+    records, also passed to `progress(record)`, have no train_acc.
     """
     cfg.validate()
     images, labels, _ = D.load_split(corpus_dir, "train")
@@ -155,7 +159,7 @@ def finetune_mil(
     encoder = {k: T.parameter(np.array(p.data, copy=True)) for k, p in init_params.items()}
     mil_params = ML.init_mil(np.random.default_rng(cfg.seed), cfg)
     trainable = {**encoder, **{f"mil:{k}": v for k, v in mil_params.items()}}
-    opt = T.Adam(trainable, weight_decay=cfg.weight_decay)
+    rng = np.random.default_rng(cfg.seed)
 
     def forward(batch_images):
         tiles = image_patches(batch_images, arch.side)[0]
@@ -164,35 +168,20 @@ def finetune_mil(
         pos = np.stack([positions] * len(batch_images))
         return ML.bag_logits(instances, pos, mil_params, cfg)
 
-    def accuracy(split_images, split_labels):
-        preds = []
-        with T.no_grad():
-            for start in range(0, len(split_images), 32):
-                logits = forward(split_images[start : start + 32]).numpy()
-                preds.extend(np.argmax(logits, axis=1))
-        return float((np.array(preds) == split_labels).mean())
-
-    rng = np.random.default_rng(cfg.seed)
-    history = []
-    best_val, best = -1.0, {k: v.data.copy() for k, v in trainable.items()}
-    for epoch in range(epochs):
+    def batches():
         order = rng.permutation(len(images))
-        losses = []
         for start in range(0, len(order) - batch_size + 1, batch_size):
             idx = order[start : start + batch_size]
-            loss = ML.cross_entropy(forward(images[idx]), labels[idx])
-            loss.backward()
-            opt.step(lr)
-            losses.append(loss.item())
-        val_acc = accuracy(val_images, val_labels)
-        history.append({"epoch": epoch, "loss": float(np.mean(losses)), "val_acc": val_acc})
-        if val_acc > best_val:
-            best_val = val_acc
-            best = {k: v.data.copy() for k, v in trainable.items()}
-        if progress is not None:
-            progress(epoch, history[-1])
-    for key, value in trainable.items():
-        value.data = best[key]
+            yield forward(images[idx]), labels[idx]
+
+    def scores():
+        preds = []
+        with T.no_grad():
+            for start in range(0, len(val_images), 32):
+                preds.extend(np.argmax(forward(val_images[start : start + 32]).numpy(), axis=1))
+        return {"val_acc": float((np.array(preds) == val_labels).mean())}
+
+    history = ML.train_epochs(trainable, lr, cfg.weight_decay, epochs, batches, scores, progress)
     return encoder, mil_params, history
 
 

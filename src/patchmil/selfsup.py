@@ -11,13 +11,13 @@ collapsing.
 `pretrain` makes the augmented views of `view_batches` in one worker process,
 forked from the caller (so it needs the `fork` start method) and at most
 PREFETCH batches ahead of the training step, which runs in the caller. The
-worker is killed and joined when `pretrain` returns or raises.
+worker is killed and joined when `pretrain` returns or raises. `pretrain`
+writes no files: it reports every step through `progress(record)`, and the
+command line turns the records into a run's `losses.csv`.
 """
 
 from __future__ import annotations
 
-import csv
-import itertools
 import math
 import mmap
 import multiprocessing as mp
@@ -78,6 +78,10 @@ class SSLConfig:
             raise ConfigError(f"unknown loss terms {sorted(unknown)}")
         if "global" not in self.loss_terms:
             raise ConfigError("the global cosine term cannot be toggled off")
+        if self.batch_size < 1:
+            raise ConfigError(f"batch size must be at least 1, got {self.batch_size}")
+        if self.epochs < 0:
+            raise ConfigError(f"epochs must be at least 0, got {self.epochs}")
 
 
 # ---------------------------------------------------------------------------
@@ -451,45 +455,23 @@ def _forked_view_batches(patches: np.ndarray, cfg: SSLConfig, total: int):
         conn.close()
 
 
-def pretrain(
-    patches: np.ndarray,
-    cfg: SSLConfig,
-    log_path=None,
-    progress=None,
-) -> SSLState:
+def pretrain(patches: np.ndarray, cfg: SSLConfig, progress=None) -> SSLState:
     """Full pretraining loop over an array of (P, side, side, 3) patches.
 
     The augmented views come from `view_batches` run in one forked worker
-    process, so augmentation overlaps the training steps. Writes a per-step
-    CSV loss log when `log_path` is given.
+    process, so augmentation overlaps the training steps. After every step,
+    `progress(record)` gets a new dict: the epoch, the step count so far and
+    the step's `pretrain_step` report.
     """
     cfg.validate()
     state = SSLState(cfg)
     n = patches.shape[0]
     total_steps = cfg.epochs * max(1, n // cfg.batch_size)
     per_epoch = len(_epoch_batches(n, cfg.batch_size))
-    writer = None
-    log_file = None
-    report: dict = {}  # stays empty when no batch holds 2 or more patches
-    if log_path is not None:
-        log_file = open(log_path, "w", newline="")
-        writer = csv.writer(log_file)
-        writer.writerow(["step", "L_global", "L_parts", "L_var", "L_cov", "L_all", "lr", "grad_norm"])
-    try:
-        with closing(_forked_view_batches(patches, cfg, cfg.epochs * per_epoch)) as batches:
-            for epoch in range(cfg.epochs):
-                for views_s, views_t in itertools.islice(batches, per_epoch):
-                    lr = cosine_lr(cfg.lr, state.step_count, total_steps)
-                    report = pretrain_step(views_s, views_t, state, lr)
-                    if writer is not None:
-                        writer.writerow(
-                            [state.step_count]
-                            + [f"{report[k]:.6f}" for k in ("global", "parts", "var", "cov", "all")]
-                            + [f"{lr:.6f}", f"{report['grad_norm']:.6f}"]
-                        )
-                if progress is not None:
-                    progress(epoch, report)
-    finally:
-        if log_file is not None:
-            log_file.close()
+    with closing(_forked_view_batches(patches, cfg, cfg.epochs * per_epoch)) as batches:
+        for k, (views_s, views_t) in enumerate(batches):
+            lr = cosine_lr(cfg.lr, state.step_count, total_steps)
+            report = pretrain_step(views_s, views_t, state, lr)
+            if progress is not None:
+                progress({"epoch": k // per_epoch, "step": state.step_count, **report})
     return state

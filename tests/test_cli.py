@@ -123,6 +123,51 @@ class TestUsageErrors:
         assert main(["linear-probe", "--corpus", str(corpus)]) == 2
 
 
+    @pytest.mark.parametrize("command", ["pretrain", "train-mil", "ablate"])
+    @pytest.mark.parametrize(
+        "flag, value, says",
+        [("--batch-size", "0", "batch size must be at least 1"),
+         ("--epochs", "-1", "epochs must be at least 0")],
+        ids=["batch-size-0", "epochs-negative"],
+    )
+    def test_batch_size_and_epochs_out_of_range(
+        self, corpus, pretrain_run, tmp_path, capsys, command, flag, value, says
+    ):
+        run = tmp_path / "r"
+        argv = [command, "--corpus", str(corpus), "--out", str(run), flag, value]
+        if command == "train-mil":
+            argv += ["--checkpoint", str(pretrain_run / "checkpoint")]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith(f"usage error: {says}")
+        assert not run.exists()
+
+    @pytest.mark.parametrize(
+        "command, key, value, says",
+        [
+            ("pretrain", "epochs", 1.5, "epochs must be an integer, not 1.5"),
+            ("pretrain", "loss", ["global", "parts"], 'loss must be a string, not ["global", "parts"]'),
+            ("train-mil", "finetune", "yes", 'finetune must be true or false, not "yes"'),
+            ("evaluate", "split", "all", "split must be one of train, val, test, not 'all'"),
+        ],
+        ids=["float-for-int", "list", "string-for-store-true", "not-a-choice"],
+    )
+    def test_config_value_of_wrong_type_is_usage_error(
+        self, corpus, pretrain_run, tmp_path, capsys, command, key, value, says
+    ):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({key: value}))
+        run = tmp_path / "r"
+        argv = [command, "--config", str(path), "--corpus", str(corpus)]
+        argv += {
+            "pretrain": ["--out", str(run)],
+            "train-mil": ["--out", str(run), "--checkpoint", str(pretrain_run / "checkpoint")],
+            "evaluate": ["--mil-run", str(run)],
+        }[command]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"usage error: {path}: {says}\n"
+        assert not run.exists()
+
+
 class TestGenerateData:
     def test_same_seed_same_checksum(self, tmp_path):
         args = ["generate-data", "--counts", "1,1,1", "--magnifications", "10", "--side", "32"]
@@ -188,6 +233,23 @@ class TestPretrain:
             assert float(row["L_parts"]) == 0.0
             assert float(row["L_var"]) == 0.0
             assert float(row["L_cov"]) == 0.0
+
+    def test_losses_csv_row_on_disk_before_next_step(self, corpus, tmp_path, monkeypatch):
+        run = tmp_path / "r"
+        rows_on_disk = []
+        step = S.pretrain_step
+
+        def spy(*args):
+            with open(run / "losses.csv") as fh:
+                rows_on_disk.append(len(fh.read().splitlines()[1:]))  # rows after the header
+            return step(*args)
+
+        monkeypatch.setattr(S, "pretrain_step", spy)
+        argv = ["pretrain", "--corpus", str(corpus), "--out", str(run), "--epochs", "2",
+                "--batch-size", "4"]
+        assert main(argv) == 0
+        # 14 patches in batches of 4: 3 steps an epoch; row k is written before step k + 1
+        assert rows_on_disk == list(range(6))
 
     def test_zero_epochs_checkpoint_equals_init(self, corpus, tmp_path):
         run = tmp_path / "z"
@@ -280,6 +342,36 @@ class TestMIL:
         saved = json.loads((mil_run / "report.json").read_text())["mil"]
         evaluated = json.loads((tmp_path / "e.json").read_text())["mil[test]"]
         assert evaluated == saved
+
+    def test_config_file_round_trip(self, corpus, pretrain_run, mil_run, tmp_path):
+        run = tmp_path / "r"
+        argv = ["train-mil", "--config", str(mil_run / "config.json"), "--corpus", str(corpus),
+                "--checkpoint", str(pretrain_run / "checkpoint"), "--out", str(run)]
+        assert main(argv) == 0
+        a = json.loads((run / "config.json").read_text())
+        b = json.loads((mil_run / "config.json").read_text())
+        assert {k: v for k, v in a.items() if k != "out"} == {
+            k: v for k, v in b.items() if k != "out"
+        }
+        assert (run / "history.csv").read_text() == (mil_run / "history.csv").read_text()
+
+    def test_checkpoint_without_student_group(self, corpus, pretrain_run, tmp_path, capsys):
+        groups, meta = D.load_checkpoint(pretrain_run / "checkpoint")
+        D.save_checkpoint(tmp_path / "ck", {"teacher": groups["teacher"]}, meta=meta)
+        argv = ["train-mil", "--corpus", str(corpus), "--checkpoint", str(tmp_path / "ck"),
+                "--out", str(tmp_path / "r")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: checkpoint {tmp_path / 'ck'} has no group 'student'\n"
+
+    @pytest.mark.parametrize("command", ["evaluate", "export-attention"])
+    def test_mil_run_without_mil_meta(self, corpus, pretrain_run, tmp_path, capsys, command):
+        argv = [command, "--corpus", str(corpus), "--mil-run", str(pretrain_run)]
+        if command == "export-attention":
+            argv += ["--out", str(tmp_path / "attn")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: checkpoint {pretrain_run / 'checkpoint'} has no meta key 'mil'\n"
 
     def test_export_attention(self, corpus, mil_run, tmp_path):
         out = tmp_path / "attn"

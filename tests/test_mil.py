@@ -253,7 +253,51 @@ def planted_bags(cfg, n_per_class=8, i=4, noise=0.3, seed=0):
     return bags
 
 
+def reference_train_mil(train_bags, val_bags, cfg):
+    """train_mil with its own epoch loop: the reference for `train_epochs`."""
+    rng = np.random.default_rng(cfg.seed)
+    params = M.init_mil(rng, cfg)
+    opt = M.Adam(params, weight_decay=cfg.weight_decay)
+    history, best, best_acc = [], {k: p.data.copy() for k, p in params.items()}, -1.0
+    labels = np.array([b.label for b in train_bags])
+    for epoch in range(cfg.epochs):
+        losses = []
+        for idx in M._group_by_size(train_bags).values():
+            idx = np.array(idx)
+            rng.shuffle(idx)
+            for s in range(0, len(idx), cfg.batch_size):
+                chunk = idx[s : s + cfg.batch_size]
+                inst = np.stack([train_bags[i].instances for i in chunk])
+                pos = np.stack([train_bags[i].positions for i in chunk])
+                loss = M.cross_entropy(M.bag_logits(inst, pos, params, cfg), labels[chunk])
+                loss.backward()
+                opt.step(cfg.lr)
+                losses.append(loss.item())
+        train_acc = float((M.evaluate_bags(train_bags, params, cfg) == labels).mean())
+        val_labels = np.array([b.label for b in val_bags])
+        val_acc = float((M.evaluate_bags(val_bags, params, cfg) == val_labels).mean())
+        history.append({"epoch": epoch, "loss": float(np.mean(losses)), "train_acc": train_acc,
+                        "val_acc": val_acc})
+        if val_acc > best_acc:
+            best_acc, best = val_acc, {k: p.data.copy() for k, p in params.items()}
+    for k, p in params.items():
+        p.data[...] = best[k]
+    return params, history
+
+
 class TestTrainMil:
+    def test_equals_own_loop_reference_and_reports_each_epoch(self):
+        cfg = M.MILConfig(feature_dim=16, heads=2, epochs=4, batch_size=5, seed=6)
+        # two instance-count groups, each ending in a partial batch
+        bags = planted_bags(cfg, n_per_class=2) + [random_bag(cfg, i=5, seed=s) for s in range(7)]
+        val = planted_bags(cfg, n_per_class=1, seed=1)
+        records = []
+        params, history = M.train_mil(bags, val, cfg, progress=records.append)
+        ref_params, ref_history = reference_train_mil(bags, val, cfg)
+        assert history == ref_history and records == history
+        for key in ref_params:
+            assert params[key].data.tobytes() == ref_params[key].data.tobytes(), key
+
     def test_planted_signatures_reach_high_train_accuracy(self):
         cfg = M.MILConfig(feature_dim=16, heads=2, epochs=20, batch_size=8, seed=3)
         bags = planted_bags(cfg)

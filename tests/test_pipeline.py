@@ -194,6 +194,19 @@ class TestBlockByBlock:
         assert large_peak - small_peak < large_pixels - small_pixels
 
 
+class TestFinetune:
+    def test_progress_gets_each_history_record(self, tmp_path, params):
+        cfg = D.CorpusConfig(counts=(2, 1, 1), magnifications=(10,), side=32, seed=0)
+        D.generate_corpus(cfg, tmp_path / "c")
+        mil_cfg = ML.MILConfig(feature_dim=ARCH.feature_dim, heads=2, seed=0)
+        records = []
+        _, _, history = P.finetune_mil(tmp_path / "c", params, ARCH, mil_cfg, epochs=3,
+                                       batch_size=4, progress=records.append)
+        assert [h["epoch"] for h in history] == [0, 1, 2]
+        assert records == history
+        assert all(set(r) == {"epoch", "loss", "val_acc"} for r in records)
+
+
 class TestLinearProbe:
     def test_learns_separable_clusters(self):
         rng = np.random.default_rng(3)

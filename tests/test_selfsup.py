@@ -1,6 +1,5 @@
 """Self-supervised objective: analytic loss oracles, gradient checks, momentum law."""
 
-import csv
 import itertools
 import multiprocessing
 import os
@@ -420,11 +419,11 @@ class TestPretrainStep:
 
 
 class TestPretrainLoop:
-    def test_progress_without_a_full_batch_gets_empty_report(self):
+    def test_no_full_batch_gives_no_record(self):
         cfg = S.SSLConfig(arch=SMALL_ARCH, epochs=2, batch_size=4, seed=5)
-        calls = []
-        state = S.pretrain(np.zeros((1, 16, 16, 3)), cfg, progress=lambda e, r: calls.append((e, r)))
-        assert calls == [(0, {}), (1, {})]
+        records = []
+        state = S.pretrain(np.zeros((1, 16, 16, 3)), cfg, progress=records.append)
+        assert records == []
         assert state.step_count == 0
 
     def make(self):
@@ -432,27 +431,39 @@ class TestPretrainLoop:
         cfg = S.SSLConfig(arch=SMALL_ARCH, epochs=2, batch_size=4, lr=0.01, seed=5)
         return np.random.default_rng(3).uniform(size=(10, 16, 16, 3)), cfg
 
-    def test_worker_equals_in_process_reference(self, tmp_path):
+    def test_worker_equals_in_process_reference(self):
         patches, cfg = self.make()
-        state = S.pretrain(patches, cfg, log_path=tmp_path / "losses.csv")
+        records = []
+        state = S.pretrain(patches, cfg, progress=records.append)
         reference = S.SSLState(cfg)
-        rows = []
-        for views_s, views_t in S.view_batches(patches, cfg):
+        expected = []
+        for k, (views_s, views_t) in enumerate(S.view_batches(patches, cfg)):
             lr = S.cosine_lr(cfg.lr, reference.step_count, cfg.epochs * 2)
             report = S.pretrain_step(views_s, views_t, reference, lr)
-            rows.append(
-                [str(reference.step_count)]
-                + [f"{report[k]:.6f}" for k in ("global", "parts", "var", "cov", "all")]
-                + [f"{lr:.6f}", f"{report['grad_norm']:.6f}"]
-            )
-        with open(tmp_path / "losses.csv", newline="") as fh:
-            logged = list(csv.reader(fh))[1:]
-        assert len(rows) == 4 and logged == rows
+            expected.append({"epoch": k // 2, "step": k + 1, **report})
+        # the records hold the reports' own floats: exact equality
+        assert len(expected) == 4 and records == expected
         for group in ("student", "student_heads", "teacher", "teacher_heads"):
             ours, theirs = getattr(state, group), getattr(reference, group)
             assert ours.keys() == theirs.keys()
             for key in ours:
                 assert ours[key].data.tobytes() == theirs[key].data.tobytes(), (group, key)
+
+    def test_record_is_a_new_dict_and_the_report_is_untouched(self, monkeypatch):
+        patches, cfg = self.make()
+        reports, records = [], []
+        step = S.pretrain_step
+
+        def spy(*args):
+            reports.append(step(*args))
+            return reports[-1]
+
+        monkeypatch.setattr(S, "pretrain_step", spy)
+        S.pretrain(patches, cfg, progress=records.append)
+        assert len(records) == 4
+        for k, (record, report) in enumerate(zip(records, reports)):
+            assert set(report) == {*S.LOSS_TERMS, "all", "lr", "grad_norm"}
+            assert record is not report and record == {"epoch": k // 2, "step": k + 1, **report}
 
     def test_augment_error_in_worker_raises_its_type(self, monkeypatch):
         patches, cfg = self.make()
