@@ -137,18 +137,6 @@ def _layernorm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     return centered * T.power(var + eps, -0.5) * gain + bias
 
 
-def _roll(x: Tensor, shift: int, axis: int) -> Tensor:
-    """Cyclic shift along one axis (torch.roll semantics), differentiable."""
-    if shift % x.shape[axis] == 0:
-        return x
-    shift = shift % x.shape[axis]
-    idx_a = [slice(None)] * x.ndim
-    idx_b = [slice(None)] * x.ndim
-    idx_a[axis] = slice(-shift, None)
-    idx_b[axis] = slice(None, -shift)
-    return T.concat([x[tuple(idx_a)], x[tuple(idx_b)]], axis=axis)
-
-
 def _qkv(x: Tensor, params: dict, prefix: str, heads: int) -> Tensor:
     """(B, T, C) tokens -> stacked (3, B, heads, T, dh) queries, keys, values."""
     b, t, c = x.shape
@@ -200,7 +188,7 @@ def _global_branch(x: Tensor, params: dict, cfg: ArchConfig) -> Tensor:
         shifted = blk % 2 == 1
         t = tokens
         if shifted:
-            t = _roll(_roll(t, -(win // 2), 1), -(win // 2), 2)
+            t = T.roll(t, (-(win // 2), -(win // 2)), axis=(1, 2))
         normed = _layernorm(t, params[f"gb{blk}_ln1_g"], params[f"gb{blk}_ln1_b"])
         wins = _window_partition(normed, win)
         attended = multihead_attention(wins, params, f"gb{blk}", cfg.heads)
@@ -209,7 +197,7 @@ def _global_branch(x: Tensor, params: dict, cfg: ArchConfig) -> Tensor:
         normed = _layernorm(t, params[f"gb{blk}_ln2_g"], params[f"gb{blk}_ln2_b"])
         t = t + _linear(T.gelu(_linear(normed, params, f"gb{blk}_mlp1")), params, f"gb{blk}_mlp2")
         if shifted:
-            t = _roll(_roll(t, win // 2, 1), win // 2, 2)
+            t = T.roll(t, (win // 2, win // 2), axis=(1, 2))
         tokens = t
     # 2x2 token merge so the global grid matches the local branch (x8 total)
     merge = h // cfg.grid

@@ -39,12 +39,6 @@ def _arch_to_meta(arch: bb.ArchConfig) -> dict:
     return dataclasses.asdict(arch)
 
 
-def _arch_from_meta(meta: dict) -> bb.ArchConfig:
-    fields = dict(meta)
-    fields["local_channels"] = tuple(fields["local_channels"])
-    return bb.ArchConfig(**fields)
-
-
 def _fresh_run_dir(path: str) -> Path:
     run = Path(path)
     if (run / "config.json").exists():
@@ -150,10 +144,35 @@ def _checkpoint_item(items: dict, key: str, kind: str, checkpoint):
     return items[key]
 
 
+def _meta_fields(cls, meta: dict, key: str, checkpoint) -> dict:
+    """meta[key], checked to set every field of dataclass `cls` and no other key.
+
+    Raises FormatError naming the checkpoint and the bad key.
+    """
+    fields = _checkpoint_item(meta, key, "meta key", checkpoint)
+    if not isinstance(fields, dict):
+        raise FormatError(f"checkpoint {checkpoint} meta key {key!r} is not an object")
+    names = [f.name for f in dataclasses.fields(cls)]
+    unknown = sorted(set(fields) - set(names))
+    if unknown:
+        raise FormatError(f"checkpoint {checkpoint} meta key {key!r} has unknown key {unknown[0]!r}")
+    missing = [name for name in names if name not in fields]
+    if missing:
+        raise FormatError(f"checkpoint {checkpoint} meta key {key!r} has no key {missing[0]!r}")
+    return fields
+
+
+def _arch_from_meta(meta: dict, checkpoint) -> bb.ArchConfig:
+    fields = _meta_fields(bb.ArchConfig, meta, "arch", checkpoint)
+    if not isinstance(fields["local_channels"], list):
+        raise FormatError(f"checkpoint {checkpoint} meta key 'arch' has a non-list 'local_channels'")
+    return bb.ArchConfig(**dict(fields, local_channels=tuple(fields["local_channels"])))
+
+
 def _load_backbone(checkpoint: str):
     groups, meta = D.load_checkpoint(checkpoint)
     return (_checkpoint_item(groups, "student", "group", checkpoint),
-            _arch_from_meta(_checkpoint_item(meta, "arch", "meta key", checkpoint)))
+            _arch_from_meta(meta, checkpoint))
 
 
 def cmd_linear_probe(args) -> int:
@@ -224,8 +243,8 @@ def cmd_train_mil(args) -> int:
 def _load_mil_run(run_dir: str):
     checkpoint = Path(run_dir) / "checkpoint"
     groups, meta = D.load_checkpoint(checkpoint)
-    arch = _arch_from_meta(_checkpoint_item(meta, "arch", "meta key", checkpoint))
-    mil_cfg = ML.MILConfig(**_checkpoint_item(meta, "mil", "meta key", checkpoint))
+    arch = _arch_from_meta(meta, checkpoint)
+    mil_cfg = ML.MILConfig(**_meta_fields(ML.MILConfig, meta, "mil", checkpoint))
     mil_params = _checkpoint_item(groups, "mil", "group", checkpoint)
     if "student" in groups:  # fine-tuned runs carry their own encoder
         backbone_params = groups["student"]

@@ -210,16 +210,26 @@ def _group_by_size(bags):
     return groups
 
 
+def _stacked_groups(bags) -> list:
+    """(bag indices, stacked instances, stacked positions) per instance count."""
+    return [
+        (np.array(idx), np.stack([bags[i].instances for i in idx]),
+         np.stack([bags[i].positions for i in idx]))
+        for idx in _group_by_size(bags).values()
+    ]
+
+
+def _predict_groups(groups, n_bags: int, params: dict, cfg: MILConfig) -> np.ndarray:
+    preds = np.zeros(n_bags, dtype=np.int64)
+    with T.no_grad():
+        for idx, inst, pos in groups:
+            preds[idx] = np.argmax(bag_logits(inst, pos, params, cfg).numpy(), axis=1)
+    return preds
+
+
 def evaluate_bags(bags, params: dict, cfg: MILConfig):
     """Predicted class ids for a list of bags (batched by instance count)."""
-    preds = np.zeros(len(bags), dtype=np.int64)
-    with T.no_grad():
-        for _, idx in _group_by_size(bags).items():
-            inst = np.stack([bags[i].instances for i in idx])
-            pos = np.stack([bags[i].positions for i in idx])
-            logits = bag_logits(inst, pos, params, cfg).numpy()
-            preds[idx] = np.argmax(logits, axis=1)
-    return preds
+    return _predict_groups(_stacked_groups(bags), len(bags), params, cfg)
 
 
 def train_epochs(params: dict, lr: float, weight_decay: float, epochs: int, batches, scores,
@@ -256,6 +266,7 @@ def train_mil(train_bags, val_bags, cfg: MILConfig, progress=None):
     """Cross-entropy training on frozen bags; returns (best params, history).
 
     Batches hold bags of one size. Without val bags, train_acc is the val_acc.
+    Each size group of the train and val bags is stacked once per call.
     """
     cfg.validate()
     if not train_bags:
@@ -264,24 +275,23 @@ def train_mil(train_bags, val_bags, cfg: MILConfig, progress=None):
     params = init_mil(rng, cfg)
     labels = np.array([b.label for b in train_bags])
     val_labels = np.array([b.label for b in val_bags])
-    groups = _group_by_size(train_bags)
+    groups = _stacked_groups(train_bags)
+    val_groups = _stacked_groups(val_bags)
 
     def batches():
-        for idx in groups.values():
-            idx = np.array(idx)
-            rng.shuffle(idx)
-            for s in range(0, len(idx), cfg.batch_size):
-                chunk = idx[s : s + cfg.batch_size]
-                inst = np.stack([train_bags[i].instances for i in chunk])
-                pos = np.stack([train_bags[i].positions for i in chunk])
-                yield bag_logits(inst, pos, params, cfg), labels[chunk]
+        for idx, inst, pos in groups:
+            order = np.arange(len(idx))
+            rng.shuffle(order)  # the draws and permutation of shuffling idx in place
+            for s in range(0, len(order), cfg.batch_size):
+                chunk = order[s : s + cfg.batch_size]
+                yield bag_logits(inst[chunk], pos[chunk], params, cfg), labels[idx[chunk]]
 
     def scores():
-        train_acc = float((evaluate_bags(train_bags, params, cfg) == labels).mean())
+        train_acc = float((_predict_groups(groups, len(train_bags), params, cfg) == labels).mean())
         if not val_bags:
             return {"train_acc": train_acc, "val_acc": train_acc}
-        val_acc = float((evaluate_bags(val_bags, params, cfg) == val_labels).mean())
-        return {"train_acc": train_acc, "val_acc": val_acc}
+        val_preds = _predict_groups(val_groups, len(val_bags), params, cfg)
+        return {"train_acc": train_acc, "val_acc": float((val_preds == val_labels).mean())}
 
     history = train_epochs(params, cfg.lr, cfg.weight_decay, cfg.epochs, batches, scores, progress)
     return params, history

@@ -5,7 +5,8 @@ tensors with ``requires_grad=True``, records enough information to run
 backpropagation from a scalar output. The kernel set is deliberately small:
 matmul, conv2d (unfold + matmul), elementwise arithmetic, ReLU/GELU/tanh/
 sigmoid/exp/log/sqrt/pow, axis reductions, softmax, l2_normalize, concat,
-transpose/reshape/slicing.
+roll, transpose/reshape/slicing. A constant operand of a binary op is not a
+parent of the op's tape node and gets no gradient.
 
 `no_grad()` switches the tape off for forward-only passes.
 
@@ -76,6 +77,8 @@ def _as_array(value, dtype=None) -> np.ndarray:
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     """Reduce a gradient back to `shape` after numpy broadcasting."""
+    if grad.shape == shape:
+        return grad
     while grad.ndim > len(shape):
         grad = grad.sum(axis=0)
     for axis, extent in enumerate(shape):
@@ -129,7 +132,7 @@ class Tensor:
 
     @staticmethod
     def _make(data, parents, op, backward) -> "Tensor":
-        tracked = _GRAD_ENABLED and any(p.requires_grad or p._parents for p in parents)
+        tracked = _GRAD_ENABLED and any(_on_tape(p) for p in parents)
         out = Tensor(data, _parents=tuple(parents) if tracked else (), _op=op)
         if tracked:
             out._backward = backward
@@ -138,11 +141,23 @@ class Tensor:
     # -- backward ----------------------------------------------------------
 
     def backward(self) -> None:
-        """Backpropagate from this scalar, populating .grad on reachable leaves."""
+        """Backpropagate from this scalar, populating .grad on reachable leaves.
+
+        A NaN is looked for once per leaf, in the gradient that reaches it;
+        only then is the graph walked again, checking every edge, so that the
+        NumericError names the op that made the NaN.
+        """
         if self.size != 1:
             raise ContractViolation(
                 f"backward requires a scalar output, got shape {self.shape}"
             )
+        topo = self._topological_order()
+        if not self._walk(topo, check_edges=False):
+            self._walk(topo, check_edges=True)
+            raise NumericError("NaN gradient reached a parameter")
+
+    def _topological_order(self) -> list:
+        """Every node reachable from this one, each after all of its parents."""
         topo: list[Tensor] = []
         seen: set[int] = set()
         stack = [(self, False)]
@@ -158,26 +173,37 @@ class Tensor:
             for parent in node._parents:
                 if id(parent) not in seen:
                     stack.append((parent, False))
+        return topo
 
+    def _walk(self, topo: list, check_edges: bool) -> bool:
+        """Run the backward closures in reverse topological order.
+
+        Without `check_edges`, accumulate into the leaves' .grad and return
+        False at the first leaf whose gradient holds a NaN. With it, leave
+        .grad alone and raise NumericError at the first edge that carries one.
+        """
         grads: dict[int, np.ndarray] = {id(self): np.ones_like(self.data)}
         for node in reversed(topo):
             g = grads.pop(id(node), None)
             if g is None:
                 continue
-            if node.requires_grad:
+            if node.requires_grad and not check_edges:
+                if np.isnan(g).any():
+                    return False
                 node.grad = g if node.grad is None else node.grad + g
             if node._backward is None:
                 continue
-            parent_grads = node._backward(g)
-            for parent, pg in zip(node._parents, parent_grads):
+            for parent, pg in zip(node._parents, node._backward(g)):
                 if pg is None:
                     continue
-                if np.isnan(pg).any():
+                if check_edges and np.isnan(pg).any():
                     raise NumericError(f"NaN gradient produced in op '{node._op}'")
-                if id(parent) in grads:
-                    grads[id(parent)] = grads[id(parent)] + pg
+                key = id(parent)
+                if key in grads:
+                    grads[key] = grads[key] + pg
                 else:
-                    grads[id(parent)] = pg
+                    grads[key] = pg
+        return True
 
     # -- operator sugar ------------------------------------------------------
 
@@ -246,17 +272,40 @@ class Adam:
     The conv stack conditions the gradient badly at this scale (bias terms
     receive most of the raw gradient), so per-parameter step normalization is
     what actually trains the encoder weights.
+
+    The optimizer keeps every parameter in one flat buffer: construction
+    copies each `p.data` into it and leaves `p.data` a view of its slice, so
+    writes through `p.data[...]` reach the optimizer and a step writes the
+    parameters. The moments `m` and `v` (dicts of views) and the gradient sit
+    in flat buffers of the same layout, and a step updates them in place with
+    one pass of vector ops, in the per-parameter formula's order of operations.
     """
 
     def __init__(self, params: dict, betas=(0.9, 0.999), eps: float = 1e-8,
                  weight_decay: float = 1e-4):
+        dtypes = sorted({p.data.dtype.name for p in params.values()})
+        if len(dtypes) > 1:
+            raise ContractViolation(f"Adam needs parameters of one dtype, got {', '.join(dtypes)}")
         self.params = params
         self.b1, self.b2 = betas
         self.eps = eps
         self.weight_decay = weight_decay
         self.t = 0
-        self.m = {k: np.zeros_like(p.data) for k, p in params.items()}
-        self.v = {k: np.zeros_like(p.data) for k, p in params.items()}
+        total = sum(p.size for p in params.values())
+        dtype = dtypes[0] if dtypes else _DEFAULT_DTYPE
+        self._theta, self._m, self._v, self._g, self._tmp = (
+            np.zeros(total, dtype) for _ in range(5)
+        )
+        self.m, self.v, self._slots = {}, {}, []
+        start = 0
+        for key, p in params.items():
+            shape, span = p.shape, slice(start, start + p.size)
+            self._theta[span] = p.data.reshape(-1)
+            p.data = self._theta[span].reshape(shape)
+            self.m[key] = self._m[span].reshape(shape)
+            self.v[key] = self._v[span].reshape(shape)
+            self._slots.append((p, p.data, self._g[span].reshape(shape)))
+            start = span.stop
 
     def step(self, lr: float) -> float:
         """Apply one update and clear the grads; returns the raw gradient norm.
@@ -265,16 +314,27 @@ class Adam:
         """
         self.t += 1
         sq = 0.0
-        for key, p in self.params.items():
-            g = p.grad if p.grad is not None else np.zeros_like(p.data)
-            sq += float((g * g).sum())
-            g = g + self.weight_decay * p.data
-            m = self.m[key] = self.b1 * self.m[key] + (1 - self.b1) * g
-            v = self.v[key] = self.b2 * self.v[key] + (1 - self.b2) * g * g
-            mhat = m / (1 - self.b1**self.t)
-            vhat = v / (1 - self.b2**self.t)
-            p.data -= lr * mhat / (np.sqrt(vhat) + self.eps)
+        for p, data, grad in self._slots:
+            if p.data is not data:
+                raise ContractViolation("a parameter's data was replaced after Adam took it")
+            if p.grad is None:
+                grad[...] = 0.0
+            else:
+                sq += float((p.grad * p.grad).sum())
+                grad[...] = p.grad
             p.grad = None
+        theta, m, v, g, tmp = self._theta, self._m, self._v, self._g, self._tmp
+        np.add(g, np.multiply(theta, self.weight_decay, out=tmp), out=g)  # g + wd * p
+        np.multiply(m, self.b1, out=m)  # m <- b1 * m + (1 - b1) * g
+        np.add(m, np.multiply(g, 1 - self.b1, out=tmp), out=m)
+        np.multiply(v, self.b2, out=v)  # v <- b2 * v + ((1 - b2) * g) * g
+        np.multiply(np.multiply(g, 1 - self.b2, out=tmp), g, out=tmp)
+        np.add(v, tmp, out=v)
+        denom = np.divide(v, 1 - self.b2**self.t, out=g)  # sqrt(v_hat) + eps; g is spent
+        np.add(np.sqrt(denom, out=denom), self.eps, out=denom)
+        step = np.divide(m, 1 - self.b1**self.t, out=tmp)  # (lr * m_hat) / denom
+        np.divide(np.multiply(step, lr, out=step), denom, out=step)
+        np.subtract(theta, step, out=theta)
         return math.sqrt(sq)
 
 
@@ -283,46 +343,47 @@ class Adam:
 # ---------------------------------------------------------------------------
 
 
+def _on_tape(t: Tensor) -> bool:
+    return t.requires_grad or bool(t._parents)
+
+
+def _binary(data, a: Tensor, b: Tensor, op: str, grad_a, grad_b) -> Tensor:
+    """Tape node of a binary op whose operand gradients are grad_a(g) and grad_b(g).
+
+    An operand off the tape (a Python number, an array, a constant Tensor)
+    is no parent of the node, and its gradient is never computed.
+    """
+    if not _on_tape(b):
+        return Tensor._make(data, (a,), op, lambda g: (grad_a(g),))
+    if not _on_tape(a):
+        return Tensor._make(data, (b,), op, lambda g: (grad_b(g),))
+    return Tensor._make(data, (a, b), op, lambda g: (grad_a(g), grad_b(g)))
+
+
 def add(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    data = a.data + b.data
-
-    def backward(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
-
-    return Tensor._make(data, (a, b), "add", backward)
+    return _binary(a.data + b.data, a, b, "add",
+                   lambda g: _unbroadcast(g, a.shape), lambda g: _unbroadcast(g, b.shape))
 
 
 def sub(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    data = a.data - b.data
-
-    def backward(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)
-
-    return Tensor._make(data, (a, b), "sub", backward)
+    return _binary(a.data - b.data, a, b, "sub",
+                   lambda g: _unbroadcast(g, a.shape), lambda g: _unbroadcast(-g, b.shape))
 
 
 def mul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    data = a.data * b.data
-
-    def backward(g):
-        return _unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)
-
-    return Tensor._make(data, (a, b), "mul", backward)
+    return _binary(a.data * b.data, a, b, "mul",
+                   lambda g: _unbroadcast(g * b.data, a.shape),
+                   lambda g: _unbroadcast(g * a.data, b.shape))
 
 
 def div(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    data = a.data / b.data
-
-    def backward(g):
-        ga = _unbroadcast(g / b.data, a.shape)
-        gb = _unbroadcast(-g * a.data / (b.data * b.data), b.shape)
-        return ga, gb
-
-    return Tensor._make(data, (a, b), "div", backward)
+    return _binary(a.data / b.data, a, b, "div",
+                   lambda g: _unbroadcast(g / b.data, a.shape),
+                   lambda g: _unbroadcast(-g * a.data / (b.data * b.data), b.shape))
 
 
 def power(a, exponent: float) -> Tensor:
@@ -563,6 +624,20 @@ def concat(tensors: Sequence, axis: int = 0) -> Tensor:
     return Tensor._make(data, tuple(tensors), "concat", backward)
 
 
+def roll(a, shift, axis) -> Tensor:
+    """Cyclic shift, as np.roll: `shift` and `axis` are ints or tuples of ints."""
+    a = as_tensor(a)
+    data = np.roll(a.data, shift, axis=axis)
+    back = tuple(-s for s in shift) if isinstance(shift, tuple) else -shift
+
+    def backward(g):
+        out = np.roll(g, back, axis=axis)
+        out += 0.0  # -0.0 becomes +0.0, as in the zero-filled scatter of a slice's backward
+        return (out,)
+
+    return Tensor._make(data, (a,), "roll", backward)
+
+
 def _is_basic_index(idx) -> bool:
     """True for an int, slice, None, Ellipsis or a tuple of these: no repeated positions."""
     parts = idx if isinstance(idx, tuple) else (idx,)
@@ -619,26 +694,23 @@ def matmul(a, b) -> Tensor:
     if a.shape[-1] != b.shape[-2 if b.ndim > 1 else 0]:
         raise ContractViolation(f"matmul shape mismatch: {a.shape} @ {b.shape}")
     data = np.matmul(a.data, b.data)
+    a1, b1 = a.ndim == 1, b.ndim == 1
 
-    def backward(g):
+    def g_matrix(g):  # the output gradient with a vector operand's axis put back
         g = np.asarray(g)
-        a1, b1 = a.ndim == 1, b.ndim == 1
-        a_mat = a.data[None, :] if a1 else a.data
-        b_mat = b.data[:, None] if b1 else b.data
-        g_mat = g
         if b1:
-            g_mat = g_mat[..., None]
-        if a1:
-            g_mat = g_mat[..., None, :]
-        ga = np.matmul(g_mat, np.swapaxes(b_mat, -1, -2))
-        gb = np.matmul(np.swapaxes(a_mat, -1, -2), g_mat)
-        if a1:
-            ga = ga[..., 0, :]
-        if b1:
-            gb = gb[..., 0]
-        return _unbroadcast(ga, a.shape), _unbroadcast(gb, b.shape)
+            g = g[..., None]
+        return g[..., None, :] if a1 else g
 
-    return Tensor._make(data, (a, b), "matmul", backward)
+    def grad_a(g):
+        ga = np.matmul(g_matrix(g), np.swapaxes(b.data[:, None] if b1 else b.data, -1, -2))
+        return _unbroadcast(ga[..., 0, :] if a1 else ga, a.shape)
+
+    def grad_b(g):
+        gb = np.matmul(np.swapaxes(a.data[None, :] if a1 else a.data, -1, -2), g_matrix(g))
+        return _unbroadcast(gb[..., 0] if b1 else gb, b.shape)
+
+    return _binary(data, a, b, "matmul", grad_a, grad_b)
 
 
 def unfold(a, kernel: int, stride: int = 1, pad: int = 0) -> Tensor:

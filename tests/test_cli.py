@@ -373,6 +373,21 @@ class TestMIL:
         err = capsys.readouterr().err
         assert err == f"error: checkpoint {pretrain_run / 'checkpoint'} has no meta key 'mil'\n"
 
+    @pytest.mark.parametrize("key,edit,message", [
+        ("mil", lambda c: dict(c, optimizer="sgd"), "meta key 'mil' has unknown key 'optimizer'"),
+        ("mil", lambda c: {k: v for k, v in c.items() if k != "heads"},
+         "meta key 'mil' has no key 'heads'"),
+        ("mil", lambda c: list(c), "meta key 'mil' is not an object"),
+        ("arch", lambda c: dict(c, local_channels=8), "meta key 'arch' has a non-list 'local_channels'"),
+    ])
+    def test_malformed_config_meta(self, corpus, mil_run, tmp_path, capsys, key, edit, message):
+        groups, meta = D.load_checkpoint(mil_run / "checkpoint")
+        meta[key] = edit(meta[key])
+        D.save_checkpoint(tmp_path / "run" / "checkpoint", groups, meta=meta)
+        argv = ["evaluate", "--corpus", str(corpus), "--mil-run", str(tmp_path / "run")]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: checkpoint {tmp_path / 'run' / 'checkpoint'} {message}\n"
+
     def test_export_attention(self, corpus, mil_run, tmp_path):
         out = tmp_path / "attn"
         code = main(

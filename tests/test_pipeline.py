@@ -15,8 +15,8 @@ from patchmil.errors import ConfigError, ContractViolation
 ARCH = bb.ArchConfig(
     side=16, local_channels=(4, 4, 8), global_dim=8, heads=2, window=4, embed_dim=8, parts=2
 )
-# 64-pixel images hold 16 patches of ARCH.side, so a block is 16 images and
-# the 2 x 7 x 2 = 28 train images of this corpus span two blocks
+# 64-pixel images hold 16 patches of ARCH.side, so a block is 8 images and
+# the 2 x 7 x 2 = 28 train images of this corpus span four blocks
 BLOCKS_CORPUS = D.CorpusConfig(counts=(2, 1, 1), magnifications=(10, 20), side=64, seed=3)
 
 
@@ -205,6 +205,14 @@ class TestFinetune:
         assert [h["epoch"] for h in history] == [0, 1, 2]
         assert records == history
         assert all(set(r) == {"epoch", "loss", "val_acc"} for r in records)
+
+
+    def test_batch_size_below_one_is_config_error(self, tmp_path, params):
+        cfg = D.CorpusConfig(counts=(2, 1, 1), magnifications=(10,), side=32, seed=0)
+        D.generate_corpus(cfg, tmp_path / "c")
+        mil_cfg = ML.MILConfig(feature_dim=ARCH.feature_dim, heads=2, seed=0)
+        with pytest.raises(ConfigError, match="at least 1, got 0"):
+            P.finetune_mil(tmp_path / "c", params, ARCH, mil_cfg, epochs=1, batch_size=0)
 
 
 class TestLinearProbe:

@@ -353,7 +353,35 @@ class TestLossGradients:
         assert T.max_relative_error(leaf.grad, fd) < 1e-3
 
 
+def tape_nodes(root):
+    """Tape nodes (op outputs with a backward) reachable from `root`."""
+    seen, stack, count = set(), [root], 0
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            count += node._backward is not None
+            stack.extend(node._parents)
+    return count
+
+
 class TestPretrainStep:
+    def test_tape_size_at_the_desk_arch(self, monkeypatch):
+        """A guard against a growing tape: the nodes one step's loss reaches at the desk arch."""
+        arch = bb.ArchConfig(local_channels=(8, 16, 32), global_dim=32, embed_dim=32)
+        state = S.SSLState(S.SSLConfig(arch=arch, epochs=1, batch_size=4, seed=5))
+        losses = []
+        backward = T.Tensor.backward
+
+        def record(loss):
+            losses.append(loss)
+            backward(loss)
+
+        monkeypatch.setattr(T.Tensor, "backward", record)
+        views = np.random.default_rng(10).uniform(size=(2, 4, 32, 32, 3))
+        S.pretrain_step(views[0], views[1], state, lr=0.01)
+        assert [tape_nodes(loss) for loss in losses] == [208]
+
     def make_state(self, **kw):
         cfg = S.SSLConfig(arch=SMALL_ARCH, epochs=1, batch_size=4, lr=0.01, seed=5, **kw)
         return S.SSLState(cfg)

@@ -162,11 +162,15 @@ class TestGradientChecks:
         _check(lambda t: (T.concat([t, t * 2.0], axis=1)[:, 2:6] ** 2).sum(), x)
 
     def test_take_roll_slices(self):
-        from patchmil.backbone import _roll
-
         x = rng().normal(size=(2, 5, 3))
         w = np.asarray(rng().normal(size=(2, 5, 3)))
-        _check(lambda t: ((_roll(t, 2, axis=1) * T.Tensor(w)) ** 2).sum(), x)
+        _check(lambda t: ((reference_roll(t, 2, axis=1) * T.Tensor(w)) ** 2).sum(), x)
+
+    @pytest.mark.parametrize("shift,axis", [(2, 1), (-3, 2), ((-2, 1), (1, 2))])
+    def test_roll(self, shift, axis):
+        x = rng().normal(size=(2, 5, 4, 3))
+        w = np.asarray(rng().normal(size=(2, 5, 4, 3)))
+        _check(lambda t: ((T.roll(t, shift, axis) * T.Tensor(w)) ** 2).sum(), x)
 
     def test_take_advanced_index_with_repeats(self):
         x = rng().normal(size=(3, 4))
@@ -274,8 +278,36 @@ class TestDeterminism:
         assert T.Tensor([1.0]).data.dtype == np.float64  # fixture default
 
 
+class ReferenceAdam:
+    """Adam as a loop over parameters: the reference for the flat-buffer update."""
+
+    def __init__(self, params, betas=(0.9, 0.999), eps=1e-8, weight_decay=1e-4):
+        self.params = params
+        self.b1, self.b2 = betas
+        self.eps = eps
+        self.weight_decay = weight_decay
+        self.t = 0
+        self.m = {k: np.zeros_like(p.data) for k, p in params.items()}
+        self.v = {k: np.zeros_like(p.data) for k, p in params.items()}
+
+    def step(self, lr):
+        self.t += 1
+        sq = 0.0
+        for key, p in self.params.items():
+            g = p.grad if p.grad is not None else np.zeros_like(p.data)
+            sq += float((g * g).sum())
+            g = g + self.weight_decay * p.data
+            m = self.m[key] = self.b1 * self.m[key] + (1 - self.b1) * g
+            v = self.v[key] = self.b2 * self.v[key] + (1 - self.b2) * g * g
+            mhat = m / (1 - self.b1**self.t)
+            vhat = v / (1 - self.b2**self.t)
+            p.data -= lr * mhat / (np.sqrt(vhat) + self.eps)
+            p.grad = None
+        return math.sqrt(sq)
+
+
 class TestAdam:
-    """The shared optimizer's first step against its closed form."""
+    """The shared optimizer against its closed form and its per-parameter loop."""
 
     LR, WD, EPS = 0.1, 0.01, 1e-8
 
@@ -314,6 +346,118 @@ class TestAdam:
         g = self.WD * np.array([1.0, -2.0])
         expected = np.array([1.0, -2.0]) - self.LR * g / (np.abs(g) + self.EPS)
         np.testing.assert_allclose(decayed.data, expected, rtol=1e-12)
+
+    def test_flat_update_equals_per_parameter_loop(self):
+        shapes = {"w": (3, 4), "b": (4,), "still": (2, 2), "s": (5,)}
+        gen = rng()
+        init = {k: gen.normal(size=shape) for k, shape in shapes.items()}
+        with T.default_dtype(np.float32):
+            params = {k: T.parameter(v) for k, v in init.items()}
+            ref_params = {k: T.parameter(v) for k, v in init.items()}
+        opt = T.Adam(params, weight_decay=self.WD)
+        ref = ReferenceAdam(ref_params, weight_decay=self.WD)
+        for step in range(5):
+            for key, shape in shapes.items():
+                if key != "still":  # its grad stays None
+                    g = (gen.normal(size=shape) * 10.0 ** (step - 2)).astype(np.float32)
+                    params[key].grad, ref_params[key].grad = g.copy(), g.copy()
+            if step == 3:  # a write through .data, as train_epochs restores its best epoch
+                params["w"].data[...] = init["w"]
+                ref_params["w"].data[...] = init["w"]
+            lr = self.LR / (step + 1)
+            assert opt.step(lr) == ref.step(lr)
+            for key in shapes:
+                assert params[key].data.dtype == np.float32
+                assert params[key].data.tobytes() == ref_params[key].data.tobytes(), (step, key)
+                assert opt.m[key].tobytes() == ref.m[key].tobytes(), (step, key)
+                assert opt.v[key].tobytes() == ref.v[key].tobytes(), (step, key)
+                assert params[key].grad is None
+
+    def test_mixed_dtypes_refused(self):
+        with T.default_dtype(np.float32):
+            narrow = T.parameter([1.0])
+        with pytest.raises(ContractViolation, match="one dtype, got float32, float64"):
+            T.Adam({"narrow": narrow, "wide": T.parameter([1.0])})
+
+    def test_replaced_data_refused(self):
+        p = T.parameter([1.0, 2.0])
+        opt = T.Adam({"p": p})
+        p.data = np.array([3.0, 4.0])
+        with pytest.raises(ContractViolation, match="replaced"):
+            opt.step(self.LR)
+
+
+class TestLeanTape:
+    def test_nan_reaching_a_parameter_names_its_op(self):
+        x = T.parameter([0.0, 1.0])
+        # sqrt's backward gives inf at 0; mul's inf * 0 is the NaN
+        loss = (T.sqrt(x * x) * 3.0).sum()
+        with np.errstate(divide="ignore", invalid="ignore"):
+            with pytest.raises(NumericError, match="NaN gradient produced in op 'mul'"):
+                loss.backward()
+
+    def test_nan_that_reaches_no_parameter_is_not_reported(self):
+        x = T.parameter(rng().normal(size=(1, 2, 2, 1)))
+        w = np.ones((1, 4, 4, 1))
+        w[0, 0, 0, 0] = np.nan  # weights the zero padding only
+        loss = (T.pad2d(x, 1) * T.Tensor(w)).sum()
+        loss.backward()
+        np.testing.assert_array_equal(x.grad, np.ones((1, 2, 2, 1)))
+
+    def test_constant_operand_is_no_parent(self):
+        p = T.parameter(np.ones((2, 3)))
+        const = T.Tensor(np.ones((3, 4)))
+        assert (p * 2.0)._parents == (p,)
+        assert (2.0 - p)._parents == (p,)
+        assert (p @ const)._parents == (p,)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_scalar_mul_equals_tensor_scalar_mul(self, dtype):
+        x = rng().normal(size=(3, 5))
+        up = rng().normal(size=(3, 5))
+        with T.default_dtype(dtype):
+            for scalar_first in (False, True):
+                out, grads = [], []
+                for scalar in (0.37, T.Tensor(0.37)):
+                    p = T.parameter(x)
+                    y = scalar * p if scalar_first else p * scalar
+                    (y * T.Tensor(up)).sum().backward()
+                    out.append(y.data)
+                    grads.append(p.grad)
+                assert out[0].dtype == out[1].dtype == dtype
+                assert out[0].tobytes() == out[1].tobytes()
+                assert grads[0].tobytes() == grads[1].tobytes()
+
+
+def reference_roll(x, shift: int, axis: int):
+    """The cyclic shift as two slices and a concat: the reference for T.roll."""
+    shift = shift % x.shape[axis]
+    if shift == 0:
+        return x
+    idx_a = [slice(None)] * x.ndim
+    idx_b = [slice(None)] * x.ndim
+    idx_a[axis] = slice(-shift, None)
+    idx_b[axis] = slice(None, -shift)
+    return T.concat([x[tuple(idx_a)], x[tuple(idx_b)]], axis=axis)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_roll_equals_slice_concat_reference(dtype):
+    x = rng().normal(size=(2, 8, 8, 3))
+    up = rng().normal(size=(2, 8, 8, 3))
+    up.reshape(-1)[::7] = -0.0  # the reference's backward turns these into +0.0
+    with T.default_dtype(dtype):
+        results = []
+        for roll in (lambda t: T.roll(t, (-2, -2), axis=(1, 2)),
+                     lambda t: reference_roll(reference_roll(t, -2, 1), -2, 2)):
+            p = T.parameter(x)
+            y = roll(p)
+            (y * T.Tensor(up)).sum().backward()
+            results.append((y.data, p.grad))
+    (fwd, bwd), (ref_fwd, ref_bwd) = results
+    assert fwd.dtype == ref_fwd.dtype == bwd.dtype == dtype
+    assert fwd.tobytes() == ref_fwd.tobytes()
+    assert bwd.tobytes() == ref_bwd.tobytes()
 
 
 class TestNoGrad:
