@@ -59,48 +59,48 @@ def _kaiming_uniform(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray
     return rng.uniform(-limit, limit, size=shape)
 
 
-def _linear_init(rng, params, name, d_in, d_out, requires_grad):
-    params[f"{name}_w"] = T.parameter(
-        _kaiming_uniform(rng, (d_in, d_out), d_in), requires_grad
-    )
-    params[f"{name}_b"] = T.parameter(np.zeros(d_out), requires_grad)
+def _linear_init(rng, params, name, d_in, d_out):
+    params[f"{name}_w"] = T.parameter(_kaiming_uniform(rng, (d_in, d_out), d_in))
+    params[f"{name}_b"] = T.parameter(np.zeros(d_out))
 
 
-def _mlp_init(rng, params, name, d_in, d_hidden, d_out, requires_grad):
-    _linear_init(rng, params, f"{name}_1", d_in, d_hidden, requires_grad)
-    _linear_init(rng, params, f"{name}_2", d_hidden, d_out, requires_grad)
+def _mlp_init(rng, params, name, d_in, d_hidden, d_out):
+    _linear_init(rng, params, f"{name}_1", d_in, d_hidden)
+    _linear_init(rng, params, f"{name}_2", d_hidden, d_out)
 
 
-def init_backbone(
-    rng: np.random.Generator, cfg: ArchConfig, requires_grad: bool = True
-) -> dict:
-    """Fresh backbone parameter set (student when requires_grad, else teacher)."""
+def block_init(rng: np.random.Generator, p: dict, prefix: str, d: int) -> None:
+    """Add one pre-norm block of width d: ln1, qkv, proj, ln2, mlp1, mlp2, in this order.
+
+    The global branch and the MIL head build their blocks with it; the order
+    fixes the RNG draws.
+    """
+    p[f"{prefix}_ln1_g"] = T.parameter(np.ones(d))
+    p[f"{prefix}_ln1_b"] = T.parameter(np.zeros(d))
+    _linear_init(rng, p, f"{prefix}_qkv", d, 3 * d)
+    _linear_init(rng, p, f"{prefix}_proj", d, d)
+    p[f"{prefix}_ln2_g"] = T.parameter(np.ones(d))
+    p[f"{prefix}_ln2_b"] = T.parameter(np.zeros(d))
+    _linear_init(rng, p, f"{prefix}_mlp1", d, 2 * d)
+    _linear_init(rng, p, f"{prefix}_mlp2", 2 * d, d)
+
+
+def init_backbone(rng: np.random.Generator, cfg: ArchConfig) -> dict:
+    """Fresh student backbone parameters; `clone_as_teacher` makes the teacher."""
     cfg.validate()
     p: dict[str, Tensor] = {}
     c_in = 3
     for i, c_out in enumerate(cfg.local_channels):
-        fan = 3 * 3 * c_in
-        p[f"lb{i}_w"] = T.parameter(
-            _kaiming_uniform(rng, (3, 3, c_in, c_out), fan), requires_grad
-        )
-        p[f"lb{i}_b"] = T.parameter(np.zeros(c_out), requires_grad)
+        p[f"lb{i}_w"] = T.parameter(_kaiming_uniform(rng, (3, 3, c_in, c_out), 3 * 3 * c_in))
+        p[f"lb{i}_b"] = T.parameter(np.zeros(c_out))
         c_in = c_out
     fan = cfg.patchify * cfg.patchify * 3
     p["gb_patch_w"] = T.parameter(
-        _kaiming_uniform(rng, (cfg.patchify, cfg.patchify, 3, cfg.global_dim), fan),
-        requires_grad,
+        _kaiming_uniform(rng, (cfg.patchify, cfg.patchify, 3, cfg.global_dim), fan)
     )
-    p["gb_patch_b"] = T.parameter(np.zeros(cfg.global_dim), requires_grad)
-    d = cfg.global_dim
+    p["gb_patch_b"] = T.parameter(np.zeros(cfg.global_dim))
     for b in range(cfg.attn_blocks):
-        p[f"gb{b}_ln1_g"] = T.parameter(np.ones(d), requires_grad)
-        p[f"gb{b}_ln1_b"] = T.parameter(np.zeros(d), requires_grad)
-        _linear_init(rng, p, f"gb{b}_qkv", d, 3 * d, requires_grad)
-        _linear_init(rng, p, f"gb{b}_proj", d, d, requires_grad)
-        p[f"gb{b}_ln2_g"] = T.parameter(np.ones(d), requires_grad)
-        p[f"gb{b}_ln2_b"] = T.parameter(np.zeros(d), requires_grad)
-        _linear_init(rng, p, f"gb{b}_mlp1", d, 2 * d, requires_grad)
-        _linear_init(rng, p, f"gb{b}_mlp2", 2 * d, d, requires_grad)
+        block_init(rng, p, f"gb{b}", cfg.global_dim)
     return p
 
 
@@ -109,11 +109,11 @@ def init_heads(rng: np.random.Generator, cfg: ArchConfig) -> dict:
     cfg.validate()
     c, d, k = cfg.feature_dim, cfg.embed_dim, cfg.parts
     p: dict[str, Tensor] = {}
-    _mlp_init(rng, p, "g_sg", c, d, d, True)
-    _mlp_init(rng, p, "p_sg", d, d, d, True)
-    _linear_init(rng, p, "g_so", c, k, True)
-    _mlp_init(rng, p, "g_sp", c, d, d, True)
-    _mlp_init(rng, p, "p_so", d, d, d, True)
+    _mlp_init(rng, p, "g_sg", c, d, d)
+    _mlp_init(rng, p, "p_sg", d, d, d)
+    _linear_init(rng, p, "g_so", c, k)
+    _mlp_init(rng, p, "g_sp", c, d, d)
+    _mlp_init(rng, p, "p_so", d, d, d)
     return p
 
 
@@ -150,6 +150,12 @@ def attention_weights(q: Tensor, k: Tensor, bias: Tensor | None = None) -> Tenso
     if bias is not None:
         logits = logits + bias
     return T.softmax(logits, axis=-1)
+
+
+def feed_forward(x: Tensor, params: dict, prefix: str) -> Tensor:
+    """The MLP half of a block: x + mlp2(gelu(mlp1(ln2(x))))."""
+    normed = _layernorm(x, params[f"{prefix}_ln2_g"], params[f"{prefix}_ln2_b"])
+    return x + _linear(T.gelu(_linear(normed, params, f"{prefix}_mlp1")), params, f"{prefix}_mlp2")
 
 
 def multihead_attention(
@@ -193,9 +199,7 @@ def _global_branch(x: Tensor, params: dict, cfg: ArchConfig) -> Tensor:
         wins = _window_partition(normed, win)
         attended = multihead_attention(wins, params, f"gb{blk}", cfg.heads)
         attended = _window_merge(attended, win, n, h, w)
-        t = t + attended
-        normed = _layernorm(t, params[f"gb{blk}_ln2_g"], params[f"gb{blk}_ln2_b"])
-        t = t + _linear(T.gelu(_linear(normed, params, f"gb{blk}_mlp1")), params, f"gb{blk}_mlp2")
+        t = feed_forward(t + attended, params, f"gb{blk}")
         if shifted:
             t = T.roll(t, (win // 2, win // 2), axis=(1, 2))
         tokens = t
@@ -217,15 +221,9 @@ def _local_branch(x: Tensor, params: dict, cfg: ArchConfig) -> Tensor:
 def embed_patch(patch, params: dict, cfg: ArchConfig) -> Tensor:
     """Encode (N, side, side, 3) patches into (N, grid, grid, C) feature maps."""
     x = T.as_tensor(patch)
-    squeeze = x.ndim == 3
-    if squeeze:
-        x = x.reshape((1,) + x.shape)
-    if x.ndim != 4 or x.shape[1] != cfg.side or x.shape[2] != cfg.side or x.shape[3] != 3:
-        raise ContractViolation(
-            f"expected (N, {cfg.side}, {cfg.side}, 3) patches, got {x.shape}"
-        )
-    m = T.concat([_local_branch(x, params, cfg), _global_branch(x, params, cfg)], axis=3)
-    return m[0] if squeeze else m
+    if x.ndim != 4 or x.shape[1:] != (cfg.side, cfg.side, 3):
+        raise ContractViolation(f"expected (N, {cfg.side}, {cfg.side}, 3) patches, got {x.shape}")
+    return T.concat([_local_branch(x, params, cfg), _global_branch(x, params, cfg)], axis=3)
 
 
 def gap(m: Tensor) -> Tensor:

@@ -35,10 +35,6 @@ def _parse_ints(text: str) -> tuple:
     return tuple(int(v) for v in text.split(","))
 
 
-def _arch_to_meta(arch: bb.ArchConfig) -> dict:
-    return dataclasses.asdict(arch)
-
-
 def _fresh_run_dir(path: str) -> Path:
     run = Path(path)
     if (run / "config.json").exists():
@@ -107,7 +103,7 @@ def _save_ssl_checkpoint(path, state: S.SSLState) -> None:
             "teacher_heads": state.teacher_heads,
         },
         meta={
-            "arch": _arch_to_meta(state.cfg.arch),
+            "arch": dataclasses.asdict(state.cfg.arch),
             "steps": state.step_count,
             "loss_terms": list(state.cfg.loss_terms),
             "seed": state.cfg.seed,
@@ -227,7 +223,7 @@ def cmd_train_mil(args) -> int:
         run / "checkpoint",
         groups,
         meta={
-            "arch": _arch_to_meta(arch),
+            "arch": dataclasses.asdict(arch),
             "mil": dataclasses.asdict(mil_cfg),
             "backbone_checkpoint": str(args.checkpoint),
             "finetuned": bool(args.finetune),
@@ -306,6 +302,9 @@ def _write_pgm(path, grid: np.ndarray) -> None:
 def cmd_export_attention(args) -> int:
     corpus = _corpus_dir(args)
     mil_params, mil_cfg, backbone_params, arch, norm = _load_mil_run(args.mil_run)
+    if mil_cfg.pooling != "adaptive":  # the pool weights it writes are the adaptive pool's
+        raise ConfigError(f"export-attention needs an adaptive-pool run; {args.mil_run} "
+                          f"was trained with {mil_cfg.pooling!r} pooling")
     bags = _split_bags(corpus, args.split, backbone_params, arch, norm)[: args.limit]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -15,7 +15,7 @@ import math
 import os
 import struct
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -171,13 +171,6 @@ class CorpusConfig:
         if bad:
             raise ContractViolation(f"unsupported magnifications {sorted(bad)}")
 
-    @classmethod
-    def from_total(cls, images_per_class: int, fractions=(0.6, 0.1, 0.3), **kw):
-        train = int(round(images_per_class * fractions[0]))
-        val = int(round(images_per_class * fractions[1]))
-        test = images_per_class - train - val
-        return cls(counts=(train, val, test), **kw)
-
 
 @dataclass
 class SampleRecord:
@@ -332,13 +325,30 @@ def generate_corpus(config: CorpusConfig, out_dir) -> list:
 
 
 def load_index(corpus_dir) -> list:
+    """The corpus's SampleRecords, in index order.
+
+    Every line must be a JSON object with exactly SampleRecord's fields, a
+    split in SPLITS and a relative path without a `..` part, since the path
+    is opened under `corpus_dir`; any other line raises FormatError.
+    """
     path = Path(corpus_dir) / "index.jsonl"
     if not path.exists():
         raise FormatError(f"no corpus index at {path}")
+    names = {f.name for f in fields(SampleRecord)}
     records = []
-    with open(path) as fh:
-        for line in fh:
-            records.append(SampleRecord(**json.loads(line)))
+    for n, line in enumerate(path.read_bytes().splitlines(), start=1):
+        try:
+            entry = json.loads(line)
+        except ValueError as exc:
+            raise FormatError(f"{path} line {n} is not JSON: {exc}") from exc
+        if not isinstance(entry, dict) or set(entry) != names:
+            raise FormatError(f"{path} line {n} is not an object with the fields {sorted(names)}")
+        if entry["split"] not in SPLITS:
+            raise FormatError(f"{path} line {n} has unknown split {entry['split']!r}")
+        rel = entry["path"]
+        if not isinstance(rel, str) or Path(rel).is_absolute() or ".." in Path(rel).parts:
+            raise FormatError(f"{path} line {n} has path {rel!r}, not one inside the corpus")
+        records.append(SampleRecord(**entry))
     return records
 
 
@@ -356,7 +366,11 @@ def read_images(corpus_dir, records) -> np.ndarray:
     images = np.empty((len(records),) + first.shape, first.dtype)
     images[0] = first
     for i, rec in enumerate(records[1:], start=1):
-        images[i] = read_tensor(Path(corpus_dir) / rec.path)[0]
+        image, _ = read_tensor(Path(corpus_dir) / rec.path)
+        if image.shape != first.shape:
+            raise FormatError(f"image {Path(corpus_dir) / rec.path} has shape {image.shape}, "
+                              f"not the {first.shape} of {records[0].path}")
+        images[i] = image
     return images
 
 
@@ -375,29 +389,18 @@ def index_checksum(corpus_dir) -> str:
 # -- tiling -----------------------------------------------------------------
 
 
-def tile_image(image: np.ndarray, patch_side: int, stride: int | None = None):
+def tile_image(image: np.ndarray, patch_side: int):
     """Raster-order tiles plus (row, col) grid positions; edge partials dropped."""
     image = np.asarray(image)
-    if stride is None:
-        stride = patch_side
     h, w = image.shape[:2]
     if patch_side > h or patch_side > w:
         raise ContractViolation(
             f"patch side {patch_side} exceeds image size {h}x{w}"
         )
     tiles, positions = [], []
-    for r, top in enumerate(range(0, h - patch_side + 1, stride)):
-        for c, left in enumerate(range(0, w - patch_side + 1, stride)):
+    for r, top in enumerate(range(0, h - patch_side + 1, patch_side)):
+        for c, left in enumerate(range(0, w - patch_side + 1, patch_side)):
             tiles.append(image[top : top + patch_side, left : left + patch_side])
             positions.append((r, c))
     return np.stack(tiles), np.array(positions, dtype=np.int64)
 
-
-def stitch_tiles(tiles: np.ndarray, positions: np.ndarray, patch_side: int) -> np.ndarray:
-    """Inverse of non-overlapping tiling over the covered region."""
-    rows = positions[:, 0].max() + 1
-    cols = positions[:, 1].max() + 1
-    out = np.zeros((rows * patch_side, cols * patch_side) + tiles.shape[3:], dtype=tiles.dtype)
-    for tile, (r, c) in zip(tiles, positions):
-        out[r * patch_side : (r + 1) * patch_side, c * patch_side : (c + 1) * patch_side] = tile
-    return out

@@ -17,7 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .backbone import _layernorm, _linear, _linear_init, _qkv, attention_weights, multihead_attention
+from .backbone import (_layernorm, _linear, _linear_init, _qkv, attention_weights, block_init,
+                       feed_forward, multihead_attention)
 from .errors import ConfigError, ContractViolation
 from .tensor import Adam, Tensor
 
@@ -76,23 +77,16 @@ def init_mil(rng: np.random.Generator, cfg: MILConfig) -> dict:
     cfg.validate()
     c = cfg.feature_dim
     p: dict[str, Tensor] = {}
+    span = 2 * cfg.bias_radius + 1
     for b in range(cfg.depth):
-        p[f"msa{b}_ln1_g"] = T.parameter(np.ones(c))
-        p[f"msa{b}_ln1_b"] = T.parameter(np.zeros(c))
-        _linear_init(rng, p, f"msa{b}_qkv", c, 3 * c, True)
-        _linear_init(rng, p, f"msa{b}_proj", c, c, True)
-        p[f"msa{b}_ln2_g"] = T.parameter(np.ones(c))
-        p[f"msa{b}_ln2_b"] = T.parameter(np.zeros(c))
-        _linear_init(rng, p, f"msa{b}_mlp1", c, 2 * c, True)
-        _linear_init(rng, p, f"msa{b}_mlp2", 2 * c, c, True)
-        span = 2 * cfg.bias_radius + 1
+        block_init(rng, p, f"msa{b}", c)
         p[f"msa{b}_bias"] = T.parameter(np.zeros((cfg.heads, span * span)))
-    _linear_init(rng, p, "hw1", c, c, True)
-    _linear_init(rng, p, "hw2", c, c, True)
-    _linear_init(rng, p, "gate_v", c, 64, True)
-    _linear_init(rng, p, "gate_u", c, 64, True)
-    _linear_init(rng, p, "gate_w", 64, 1, True)
-    _linear_init(rng, p, "cls", c, cfg.n_classes, True)
+    _linear_init(rng, p, "hw1", c, c)
+    _linear_init(rng, p, "hw2", c, c)
+    _linear_init(rng, p, "gate_v", c, 64)
+    _linear_init(rng, p, "gate_u", c, 64)
+    _linear_init(rng, p, "gate_w", 64, 1)
+    _linear_init(rng, p, "cls", c, cfg.n_classes)
     return p
 
 
@@ -124,8 +118,7 @@ def msa_refine(instances, positions: np.ndarray, params: dict, cfg: MILConfig) -
         bias = _position_bias(positions, params, blk, cfg)
         normed = _layernorm(x, params[f"msa{blk}_ln1_g"], params[f"msa{blk}_ln1_b"])
         x = x + multihead_attention(normed, params, f"msa{blk}", cfg.heads, bias=bias)
-        normed = _layernorm(x, params[f"msa{blk}_ln2_g"], params[f"msa{blk}_ln2_b"])
-        x = x + _linear(T.gelu(_linear(normed, params, f"msa{blk}_mlp1")), params, f"msa{blk}_mlp2")
+        x = feed_forward(x, params, f"msa{blk}")
     return x[0] if squeeze else x
 
 
@@ -179,14 +172,8 @@ def bag_logits(instances, positions, params: dict, cfg: MILConfig) -> Tensor:
 
 def classify_bag(bag: Bag, params: dict, cfg: MILConfig) -> np.ndarray:
     """Class logits for one bag; argmax (lowest index on ties) is the prediction."""
-    if bag.instances.shape[0] < 1:
-        raise ContractViolation("cannot classify an empty bag")
     with T.no_grad():
         return bag_logits(bag.instances, bag.positions, params, cfg).numpy()
-
-
-def predict(bag: Bag, params: dict, cfg: MILConfig) -> int:
-    return int(np.argmax(classify_bag(bag, params, cfg)))
 
 
 def cross_entropy(logits, labels) -> Tensor:

@@ -30,7 +30,7 @@ from . import metrics as MM
 from . import mil as ML
 from . import selfsup as S
 from . import tensor as T
-from .errors import ConfigError, ContractViolation
+from .errors import ConfigError, ContractViolation, FormatError
 
 # pretraining loss subsets of the loss ablation; the last is the full loss
 LOSS_ROWS = (
@@ -88,12 +88,15 @@ def _embed_split(corpus_dir, split: str, params: dict, arch: bb.ArchConfig):
     positions, labels).
     """
     records = D.split_records(corpus_dir, split)
-    h, w = D.tensor_shape(Path(corpus_dir) / records[0].path)[:2]
-    tiles = (h // arch.side) * (w // arch.side)  # 0 makes image_patches raise
+    shape = D.tensor_shape(Path(corpus_dir) / records[0].path)
+    tiles = (shape[0] // arch.side) * (shape[1] // arch.side)  # 0 makes image_patches raise
     block = max(1, EMBED_CHUNK // max(tiles, 1))
     emb = None
     for start in range(0, len(records), block):
         images = D.read_images(corpus_dir, records[start : start + block])
+        if images.shape[1:] != shape:  # read_images checks within its block only
+            raise FormatError(f"image {records[start].path} of {corpus_dir} has shape "
+                              f"{images.shape[1:]}, not the {shape} of {records[0].path}")
         patches, per_image, positions = image_patches(images, arch.side)
         out = embed_patches(patches, params, arch).reshape(len(images), per_image, -1)
         if emb is None:

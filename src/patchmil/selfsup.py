@@ -53,12 +53,6 @@ class LossWeights:
             raise ContractViolation("epsilon must be positive")
 
 
-@dataclass
-class ViewPair:
-    view_s: np.ndarray
-    view_t: np.ndarray
-
-
 @dataclass(frozen=True)
 class SSLConfig:
     arch: bb.ArchConfig = field(default_factory=bb.ArchConfig)
@@ -158,9 +152,9 @@ def augment_view(patch: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     return np.ascontiguousarray(np.clip(img, 0.0, 1.0))
 
 
-def augment(patch: np.ndarray, rng: np.random.Generator) -> ViewPair:
-    """Two independent augmented views of one source patch."""
-    return ViewPair(augment_view(patch, rng), augment_view(patch, rng))
+def augment(patch: np.ndarray, rng: np.random.Generator) -> tuple:
+    """Two independent augmented views of one source patch: (view_s, view_t)."""
+    return augment_view(patch, rng), augment_view(patch, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -289,25 +283,19 @@ class SSLState:
         self.optimizer = Adam(trainable, weight_decay=cfg.weight_decay)
         self.step_count = 0
 
-    def student_forward(self, views: np.ndarray):
-        m = bb.embed_patch(views, self.student, self.cfg.arch)
-        heads = self.student_heads
-        z_g = bb.global_embed(m, heads)
-        _, z_o = bb.part_attention(m, heads, self.cfg.arch)
-        return bb._mlp(z_g, heads, "p_sg"), bb._mlp(z_o, heads, "p_so")
 
-    def teacher_forward(self, views: np.ndarray):
-        m = bb.embed_patch(views, self.teacher, self.cfg.arch)
-        z_g = bb.global_embed(m, self.teacher_heads)
-        _, z_o = bb.part_attention(m, self.teacher_heads, self.cfg.arch)
-        return z_g, z_o
+def _project(views: np.ndarray, encoder: dict, heads: dict, arch: bb.ArchConfig) -> tuple:
+    """Encoder plus projection heads, student or teacher: (global, parts) embeddings."""
+    m = bb.embed_patch(views, encoder, arch)
+    return bb.global_embed(m, heads), bb.part_attention(m, heads, arch)[1]
 
 
 def _pair_terms(state: SSLState, views_s, views_t):
-    z_g_s, z_o_s = state.student_forward(views_s)
-    z_g_t, z_o_t = state.teacher_forward(views_t)
+    cfg, heads = state.cfg, state.student_heads
+    z_g_s, z_o_s = _project(views_s, state.student, heads, cfg.arch)
+    z_g_s, z_o_s = bb._mlp(z_g_s, heads, "p_sg"), bb._mlp(z_o_s, heads, "p_so")  # predictors
+    z_g_t, z_o_t = _project(views_t, state.teacher, state.teacher_heads, cfg.arch)
     terms = {}
-    cfg = state.cfg
     if "global" in cfg.loss_terms:
         terms["global"] = global_loss(z_g_s, z_g_t)
     if "parts" in cfg.loss_terms:
@@ -360,9 +348,7 @@ def view_batches(patches: np.ndarray, cfg: SSLConfig):
             views_s = np.empty((idx.size,) + patches.shape[1:])
             views_t = np.empty_like(views_s)
             for row, i in enumerate(idx):
-                pair = augment(patches[i], rng)
-                views_s[row] = pair.view_s
-                views_t[row] = pair.view_t
+                views_s[row], views_t[row] = augment(patches[i], rng)
             yield views_s, views_t
 
 

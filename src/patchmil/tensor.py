@@ -8,17 +8,19 @@ sigmoid/exp/log/sqrt/pow, axis reductions, softmax, l2_normalize, concat,
 roll, transpose/reshape/slicing. A constant operand of a binary op is not a
 parent of the op's tape node and gets no gradient.
 
-`no_grad()` switches the tape off for forward-only passes.
+`no_grad()` switches the tape off for forward-only passes. `Adam` is the one
+optimizer of every training loop. `check_gradient` compares a backward pass
+with central finite differences.
 
-Precision is a build-wide switch (`set_default_dtype`); float32 is the
-default, float64 is used by the gradient-check suite.
+Precision is a build-wide setting: float32 by default, float64 inside
+`with default_dtype(np.float64):`, as the gradient checks run.
 """
 
 from __future__ import annotations
 
 import contextlib
 import math
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -30,28 +32,18 @@ _DEFAULT_DTYPE = np.float32
 _GRAD_ENABLED = True
 
 
-def set_default_dtype(dtype) -> None:
-    """Set the build-wide scalar precision (np.float32 or np.float64)."""
+@contextlib.contextmanager
+def default_dtype(dtype):
+    """Switch the build-wide precision (np.float32 or np.float64) inside the block."""
     global _DEFAULT_DTYPE
     dtype = np.dtype(dtype).type
     if dtype not in (np.float32, np.float64):
         raise ContractViolation(f"unsupported dtype {dtype}")
-    _DEFAULT_DTYPE = dtype
-
-
-def get_default_dtype():
-    return _DEFAULT_DTYPE
-
-
-@contextlib.contextmanager
-def default_dtype(dtype):
-    """Temporarily switch the build-wide precision (used by gradient checks)."""
-    old = get_default_dtype()
-    set_default_dtype(dtype)
+    old, _DEFAULT_DTYPE = _DEFAULT_DTYPE, dtype
     try:
         yield
     finally:
-        set_default_dtype(old)
+        _DEFAULT_DTYPE = old
 
 
 @contextlib.contextmanager
@@ -267,7 +259,7 @@ def parameter(data, requires_grad: bool = True) -> Tensor:
 
 
 class Adam:
-    """Adam with bias correction and L2 weight decay; lr is passed per step.
+    """Adam (betas 0.9, 0.999) with bias correction and L2 weight decay; lr is passed per step.
 
     The conv stack conditions the gradient badly at this scale (bias terms
     receive most of the raw gradient), so per-parameter step normalization is
@@ -281,13 +273,12 @@ class Adam:
     one pass of vector ops, in the per-parameter formula's order of operations.
     """
 
-    def __init__(self, params: dict, betas=(0.9, 0.999), eps: float = 1e-8,
-                 weight_decay: float = 1e-4):
+    def __init__(self, params: dict, eps: float = 1e-8, weight_decay: float = 1e-4):
         dtypes = sorted({p.data.dtype.name for p in params.values()})
         if len(dtypes) > 1:
             raise ContractViolation(f"Adam needs parameters of one dtype, got {', '.join(dtypes)}")
         self.params = params
-        self.b1, self.b2 = betas
+        self.b1, self.b2 = 0.9, 0.999
         self.eps = eps
         self.weight_decay = weight_decay
         self.t = 0
@@ -561,11 +552,11 @@ def softmax(a, axis: int = -1) -> Tensor:
     return Tensor._make(data, (a,), "softmax", backward)
 
 
-def l2_normalize(a, axis: int = -1, check_nonzero: bool = True) -> Tensor:
+def l2_normalize(a, axis: int = -1) -> Tensor:
     """x / ||x||_2 along `axis`. Raises NumericError on a zero-norm slice."""
     a = as_tensor(a)
     sq = (a.data * a.data).sum(axis=axis, keepdims=True)
-    if check_nonzero and np.any(sq == 0.0):
+    if np.any(sq == 0.0):
         raise NumericError("l2_normalize received a zero-norm input")
     return a * power(reduce_sum(a * a, axis=axis, keepdims=True), -0.5)
 
@@ -822,17 +813,3 @@ def check_gradient(f, x: np.ndarray, step: float = 1e-3) -> float:
     numeric = finite_difference_gradient(f_np, np.asarray(x, dtype=np.float64), step)
     return max_relative_error(auto, numeric)
 
-
-def forward_backward(output: Tensor, leaves: Iterable[Tensor]) -> dict:
-    """Run backward from a scalar output; map each leaf to its gradient.
-
-    Leaves not reached by the graph get zero gradients.
-    """
-    leaves = list(leaves)
-    for leaf in leaves:
-        leaf.grad = None
-    output.backward()
-    return {
-        id(leaf): (leaf.grad if leaf.grad is not None else np.zeros_like(leaf.data))
-        for leaf in leaves
-    }

@@ -1,5 +1,7 @@
 """Double-tier encoder: shape arithmetic, head oracles, gradient checks."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -47,8 +49,8 @@ class TestEmbedPatch:
     def test_default_output_shape(self):
         params, _, _ = make()
         patch = np.random.default_rng(1).uniform(size=(32, 32, 3))
-        m = B.embed_patch(patch, params, CFG)
-        assert m.shape == (4, 4, 128)
+        m = B.embed_patch(patch[None], params, CFG)
+        assert m.shape == (1, 4, 4, 128)
 
     def test_shape_is_function_of_config(self):
         for cfg in (CFG, SMALL, B.ArchConfig(side=64)):
@@ -69,7 +71,7 @@ class TestEmbedPatch:
 
     def test_determinism(self):
         params, _, _ = make()
-        patch = np.random.default_rng(4).uniform(size=(32, 32, 3))
+        patch = np.random.default_rng(4).uniform(size=(1, 32, 32, 3))
         a = B.embed_patch(patch, params, CFG).data
         b = B.embed_patch(patch.copy(), params, CFG).data
         assert a.tobytes() == b.tobytes()
@@ -78,6 +80,19 @@ class TestEmbedPatch:
         params, _, _ = make()
         with pytest.raises(ContractViolation):
             B.embed_patch(np.zeros((16, 16, 3)), params, CFG)
+
+    @pytest.mark.parametrize("blocks", [1, 3])
+    def test_attn_blocks_set_the_blocks_and_the_output_shape(self, blocks):
+        cfg = dataclasses.replace(SMALL, attn_blocks=blocks)
+        params = B.init_backbone(np.random.default_rng(0), cfg)
+        block = ("ln1_g", "ln1_b", "qkv_w", "qkv_b", "proj_w", "proj_b",
+                 "ln2_g", "ln2_b", "mlp1_w", "mlp1_b", "mlp2_w", "mlp2_b")
+        assert list(params) == (
+            [f"lb{i}_{wb}" for i in range(3) for wb in "wb"] + ["gb_patch_w", "gb_patch_b"]
+            + [f"gb{b}_{name}" for b in range(blocks) for name in block]
+        )
+        x = np.random.default_rng(2).uniform(size=(2, cfg.side, cfg.side, 3))
+        assert B.embed_patch(x, params, cfg).shape == (2, cfg.grid, cfg.grid, cfg.feature_dim)
 
     def test_window_config_validation(self):
         with pytest.raises(ConfigError):
@@ -104,7 +119,7 @@ class TestGlobalEmbed:
     def test_teacher_path_tracks_no_gradients(self):
         params, _, teacher = make()
         tp = B.clone_as_teacher(params)
-        m = B.embed_patch(np.random.default_rng(7).uniform(size=(32, 32, 3)), tp, CFG)
+        m = B.embed_patch(np.random.default_rng(7).uniform(size=(1, 32, 32, 3)), tp, CFG)
         z = B.global_embed(m, teacher)
         assert z._parents == () and z._backward is None
 

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -180,6 +181,25 @@ class TestGenerateData:
         assert main(["linear-probe", "--random-init", "--json", str(tmp_path / "p.json")]) == 0
         report = json.loads((tmp_path / "p.json").read_text())
         assert set(report["linear_probe"]) == {"acc", "f1", "mcc", "precision"}
+
+
+class TestCorpusIndex:
+    @pytest.mark.parametrize("edit, says", [
+        # an absolute path to a real image of the corpus: readable, but not the index's to name
+        (lambda rec, root: json.dumps(dict(rec, path=str(root / rec["path"]))), "has path"),
+        (lambda rec, root: json.dumps(dict(rec, path="../" + rec["path"])), "has path"),
+        (lambda rec, root: json.dumps(dict(rec, split="holdout")), "unknown split 'holdout'"),
+        (lambda rec, root: json.dumps(rec)[:-1], "is not JSON"),
+    ], ids=["absolute-path", "dotdot-path", "unknown-split", "not-json"])
+    def test_probe_refuses_a_bad_index_line(self, corpus, tmp_path, capsys, edit, says):
+        root = tmp_path / "c"
+        shutil.copytree(corpus, root)
+        lines = (root / "index.jsonl").read_text().splitlines()
+        lines[0] = edit(json.loads(lines[0]), root)
+        (root / "index.jsonl").write_text("\n".join(lines) + "\n")
+        assert main(["linear-probe", "--corpus", str(root), "--random-init"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {root / 'index.jsonl'} line 1 ") and says in err
 
 
 class TestPretrain:
@@ -413,6 +433,23 @@ class TestMIL:
             assert abs(sum(float(v) for v in row) - 1.0) < 1e-5
         pgm = (out / "bag0000_attention.pgm").read_text().splitlines()
         assert pgm[0] == "P2" and pgm[2] == "255"
+
+    def test_export_attention_refuses_a_run_without_adaptive_pool(
+        self, corpus, pretrain_run, tmp_path, capsys
+    ):
+        run = tmp_path / "max"
+        argv = ["train-mil", "--corpus", str(corpus), "--checkpoint", str(pretrain_run / "checkpoint"),
+                "--out", str(run), "--epochs", "1", "--pooling", "max"]
+        assert main(argv) == 0
+        capsys.readouterr()
+        out = tmp_path / "attn"
+        argv = ["export-attention", "--corpus", str(corpus), "--mil-run", str(run), "--out", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"usage error: export-attention needs an adaptive-pool run; {run} "
+            "was trained with 'max' pooling\n"
+        )
+        assert not out.exists()
 
     def test_finetune_checkpoint_carries_encoder(self, corpus, pretrain_run, tmp_path):
         run = tmp_path / "ft"

@@ -1,6 +1,7 @@
 """Container format, corpus generation, tiling."""
 
 import json
+import re
 import struct
 from pathlib import Path
 
@@ -12,6 +13,8 @@ from patchmil import tensor as T
 from patchmil.errors import ContractViolation, FormatError
 
 SMALL = D.CorpusConfig(counts=(6, 1, 3), magnifications=(10, 20), side=32, seed=7)
+RECORD = {"image_id": "brain_10x_0000", "class_id": 0, "magnification": 10, "split": "train",
+          "path": "train/brain/10x/brain_10x_0000.ftc"}
 
 
 class TestTensorContainer:
@@ -157,10 +160,7 @@ class TestCorpus:
         assert D.index_checksum(tmp_path / "a") == D.index_checksum(tmp_path / "b")
 
     def test_280_record_layout(self, tmp_path):
-        cfg = D.CorpusConfig.from_total(
-            10, magnifications=(5, 10, 20, 40), side=32, seed=3
-        )
-        assert cfg.counts == (6, 1, 3)
+        cfg = D.CorpusConfig(counts=(6, 1, 3), magnifications=(5, 10, 20, 40), side=32, seed=3)
         records = D.generate_corpus(cfg, tmp_path / "c")
         assert len(records) == 280
         splits = {s: sum(r.split == s for r in records) for s in D.SPLITS}
@@ -176,6 +176,34 @@ class TestCorpus:
         records = D.generate_corpus(SMALL, tmp_path / "c")
         loaded = D.load_index(tmp_path / "c")
         assert [vars(r) for r in loaded] == [vars(r) for r in records]
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "{not json",
+            "[]",
+            json.dumps({k: v for k, v in RECORD.items() if k != "split"}),
+            json.dumps({**RECORD, "size": 32}),
+            json.dumps({**RECORD, "split": "holdout"}),
+            json.dumps({**RECORD, "path": "/etc/hostname"}),
+            json.dumps({**RECORD, "path": "../outside.ftc"}),
+            json.dumps({**RECORD, "path": "train/../../outside.ftc"}),
+            json.dumps({**RECORD, "path": 3}),
+        ],
+        ids=["not-json", "list", "missing-field", "unknown-field", "unknown-split",
+             "absolute-path", "dotdot-path", "inner-dotdot-path", "int-path"],
+    )
+    def test_malformed_or_hostile_index_line(self, tmp_path, line):
+        (tmp_path / "index.jsonl").write_text(json.dumps(RECORD) + "\n" + line + "\n")
+        with pytest.raises(FormatError, match="line 2"):
+            D.load_index(tmp_path)
+
+    def test_image_of_another_shape_is_refused(self, tmp_path):
+        D.generate_corpus(SMALL, tmp_path / "c")
+        records = D.split_records(tmp_path / "c", "train")
+        D.write_tensor(tmp_path / "c" / records[3].path, np.zeros((16, 32, 3), np.float32))
+        with pytest.raises(FormatError, match=re.escape(records[3].path)):
+            D.read_images(tmp_path / "c", records)
 
     def test_load_split_shapes(self, tmp_path):
         D.generate_corpus(SMALL, tmp_path / "c")
@@ -243,10 +271,11 @@ class TestTiling:
         with pytest.raises(ContractViolation):
             D.tile_image(np.zeros((16, 16, 3)), 32)
 
-    def test_stitch_reconstructs_covered_region(self):
+    def test_tiles_are_the_slices_of_the_covered_region(self):
         img = np.random.default_rng(1).uniform(size=(64, 64, 3)).astype(np.float32)
         tiles, pos = D.tile_image(img, 32)
-        assert D.stitch_tiles(tiles, pos, 32).tobytes() == img.tobytes()
+        for tile, (r, c) in zip(tiles, pos):
+            assert tile.tobytes() == img[32 * r : 32 * (r + 1), 32 * c : 32 * (c + 1)].tobytes()
 
     def test_positions_unique_raster_order(self):
         img = np.zeros((96, 64, 3))

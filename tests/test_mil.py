@@ -1,5 +1,7 @@
 """MIL head: attention equivariance, pooling oracles, cross-entropy checks."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -202,7 +204,7 @@ class TestClassifyBag:
         bag = random_bag(i=4, seed=20)
         logits = M.classify_bag(bag, params, CFG)
         np.testing.assert_array_equal(logits, np.zeros(7))
-        assert M.predict(bag, params, CFG) == 0  # tie broken at lowest index
+        assert np.argmax(logits) == 0  # tie broken at lowest index
 
     def test_cross_entropy_shift_invariance(self):
         rng = np.random.default_rng(21)
@@ -237,6 +239,52 @@ class TestClassifyBag:
 
             err = T.check_gradient(loss, params[name].data, step=1e-5)
             assert err < 1e-6, f"{name}: {err}"
+
+
+DEEP = M.MILConfig(feature_dim=16, heads=2, n_classes=7, bias_radius=3, depth=2)
+
+
+class TestDepthTwo:
+    def test_second_block_has_its_own_keys(self):
+        params = make_params(DEEP)
+        block = ("ln1_g", "ln1_b", "qkv_w", "qkv_b", "proj_w", "proj_b", "ln2_g", "ln2_b",
+                 "mlp1_w", "mlp1_b", "mlp2_w", "mlp2_b", "bias")
+        assert [k for k in params if k.startswith("msa")] == [
+            f"msa{b}_{name}" for b in range(2) for name in block
+        ]
+
+    def test_gradient_check_through_both_blocks(self):
+        params = make_params(DEEP)
+        rng = np.random.default_rng(27)
+        for b in range(2):
+            params[f"msa{b}_bias"].data[...] = rng.normal(size=params[f"msa{b}_bias"].shape)
+        bag = random_bag(DEEP, i=4, seed=28)
+
+        def refined(name):
+            def loss(t):
+                trial = dict(params)
+                trial[name] = t
+                return (M.msa_refine(bag.instances, bag.positions, trial, DEEP) ** 2).sum()
+            return loss
+
+        for name in ("msa0_qkv_w", "msa0_bias", "msa1_qkv_w", "msa1_mlp1_w", "msa1_bias"):
+            err = T.check_gradient(refined(name), params[name].data, step=1e-5)
+            assert err < 1e-6, f"{name}: {err}"
+        err = T.check_gradient(
+            lambda t: (M.msa_refine(t, bag.positions, params, DEEP) ** 2).sum(), bag.instances,
+            step=1e-5,
+        )
+        assert err < 1e-6, f"instances: {err}"
+
+    def test_train_mil_trains_both_blocks(self):
+        cfg = dataclasses.replace(DEEP, epochs=3, batch_size=8, seed=7)
+        bags = planted_bags(cfg, n_per_class=2)
+        params, history = M.train_mil(bags, bags[:5], cfg)
+        assert [r["epoch"] for r in history] == [0, 1, 2]
+        assert all(np.isfinite(r["loss"]) for r in history)
+        fresh = M.init_mil(np.random.default_rng(cfg.seed), cfg)
+        for key in ("msa0_qkv_w", "msa1_qkv_w", "msa1_mlp2_w"):
+            assert not np.array_equal(params[key].data, fresh[key].data), key
 
 
 def planted_bags(cfg, n_per_class=8, i=4, noise=0.3, seed=0):

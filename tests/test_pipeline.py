@@ -1,5 +1,7 @@
 """Image tiling/embedding glue and the linear probe."""
 
+import re
+import shutil
 import tracemalloc
 
 import numpy as np
@@ -10,7 +12,7 @@ from patchmil import data as D
 from patchmil import metrics as MM
 from patchmil import mil as ML
 from patchmil import pipeline as P
-from patchmil.errors import ConfigError, ContractViolation
+from patchmil.errors import ConfigError, ContractViolation, FormatError
 
 ARCH = bb.ArchConfig(
     side=16, local_channels=(4, 4, 8), global_dim=8, heads=2, window=4, embed_dim=8, parts=2
@@ -166,6 +168,16 @@ class TestBlockByBlock:
     def test_linear_probe_equals_whole_split_reference(self, blocks_corpus, params):
         got = P.linear_probe_metrics(blocks_corpus, params, ARCH)
         assert got == reference_probe_metrics(blocks_corpus, params, ARCH)
+
+    def test_image_shape_change_between_blocks_is_refused(self, blocks_corpus, params, tmp_path):
+        root = tmp_path / "c"
+        shutil.copytree(blocks_corpus, root)
+        records = D.split_records(root, "train")
+        block = P.EMBED_CHUNK // (BLOCKS_CORPUS.side // ARCH.side) ** 2
+        for rec in records[block:]:  # every block after the first is uniform in itself
+            D.write_tensor(root / rec.path, np.zeros((32, 32, 3), np.float32))
+        with pytest.raises(FormatError, match=re.escape(records[block].path)):
+            P.bags_from_corpus(root, "train", params, ARCH)
 
     def test_empty_split_is_refused(self, tmp_path, params):
         cfg = D.CorpusConfig(counts=(1, 0, 1), magnifications=(10,), side=32, seed=0)

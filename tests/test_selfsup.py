@@ -78,21 +78,21 @@ class TestAugment:
 
     def test_reproducible_under_seed(self):
         patch = np.random.default_rng(0).uniform(size=(16, 16, 3))
-        a = S.augment(patch, np.random.default_rng(42))
-        b = S.augment(patch, np.random.default_rng(42))
-        np.testing.assert_array_equal(a.view_s, b.view_s)
-        np.testing.assert_array_equal(a.view_t, b.view_t)
+        a_s, a_t = S.augment(patch, np.random.default_rng(42))
+        b_s, b_t = S.augment(patch, np.random.default_rng(42))
+        np.testing.assert_array_equal(a_s, b_s)
+        np.testing.assert_array_equal(a_t, b_t)
 
     def test_views_drawn_independently(self):
         patch = np.random.default_rng(0).uniform(size=(16, 16, 3))
-        pair = S.augment(patch, np.random.default_rng(1))
-        assert not np.array_equal(pair.view_s, pair.view_t)
+        view_s, view_t = S.augment(patch, np.random.default_rng(1))
+        assert not np.array_equal(view_s, view_t)
 
     def test_zero_patch_stays_near_zero(self):
         # a black patch can only gain the additive jitter offset (<= 0.1)
-        pair = S.augment(np.zeros((16, 16, 3)), np.random.default_rng(2))
-        assert pair.view_s.max() <= 0.1 + 1e-12
-        assert pair.view_t.max() <= 0.1 + 1e-12
+        view_s, view_t = S.augment(np.zeros((16, 16, 3)), np.random.default_rng(2))
+        assert view_s.max() <= 0.1 + 1e-12
+        assert view_t.max() <= 0.1 + 1e-12
 
     def test_range_stays_in_unit_interval(self):
         rng = np.random.default_rng(3)
@@ -512,7 +512,7 @@ class TestPretrainLoop:
         def dying_augment(patch, rng):
             if next(calls) == die_at:
                 os._exit(1)
-            return S.ViewPair(patch, patch)
+            return patch, patch
 
         monkeypatch.setattr(S, "augment", dying_augment)
         start = time.monotonic()
