@@ -300,6 +300,8 @@ def _write_pgm(path, grid: np.ndarray) -> None:
 
 
 def cmd_export_attention(args) -> int:
+    if args.limit < 1:
+        raise ConfigError(f"--limit must be at least 1, got {args.limit}")
     corpus = _corpus_dir(args)
     mil_params, mil_cfg, backbone_params, arch, norm = _load_mil_run(args.mil_run)
     if mil_cfg.pooling != "adaptive":  # the pool weights it writes are the adaptive pool's

@@ -4,8 +4,9 @@ The corpus stands in for multi-magnification stained-tissue photographs:
 each class renders a distinct procedural texture family (band-limited noise
 frequency, blob density, stripe anisotropy, a two-tone purple/pink palette),
 and magnification is simulated by scaling the texture's base frequency.
-Per-image generators are seeded from (corpus seed, image id) so parallel and
-serial generation produce identical bytes.
+The images are rendered and written in forked worker processes, one per
+available CPU. Per-image generators are seeded from (corpus seed, image id),
+so the bytes do not depend on which worker renders which image.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from scipy import ndimage
 
 from . import tensor as T
 from .errors import ContractViolation, FormatError
+from .parallel import fork_map
 
 MAGIC = b"FPTC0001"
 FORMAT_VERSION = 1
@@ -165,7 +167,8 @@ class CorpusConfig:
     seed: int = 0
 
     def validate(self):
-        if any(c < 0 for c in self.counts) or self.counts[0] < 1:
+        if len(self.counts) != len(SPLITS) or any(c < 0 for c in self.counts) \
+                or self.counts[0] < 1:
             raise ContractViolation(f"bad split counts {self.counts}")
         bad = set(self.magnifications) - {5, 10, 20, 40}
         if bad:
@@ -258,13 +261,12 @@ def render_texture(class_id: int, magnification: int, side: int, rng) -> np.ndar
     return np.clip(img, 0.0, 1.0)
 
 
-def _mean_color_linear_probe_accuracy(records, root) -> float:
+def _mean_color_linear_probe_accuracy(records, means) -> float:
     """Ridge one-hot regression on per-image mean colors; test accuracy."""
     feats = {s: [] for s in SPLITS}
     labels = {s: [] for s in SPLITS}
-    for rec in records:
-        img, _ = read_tensor(Path(root) / rec.path)
-        feats[rec.split].append(img.mean(axis=(0, 1)))
+    for rec, mean in zip(records, means):
+        feats[rec.split].append(mean)
         labels[rec.split].append(rec.class_id)
     x_tr = np.array(feats["train"])
     y_tr = np.array(labels["train"])
@@ -283,7 +285,9 @@ def generate_corpus(config: CorpusConfig, out_dir) -> list:
 
     Writes corpus/{split}/{class}/{mag}x/{id}.ftc plus index.jsonl, and runs
     the mean-color calibration check (the task must not be solvable from raw
-    pixel means alone).
+    pixel means alone). The images are rendered and written by
+    `parallel.fork_map`, one process per available CPU; each returns the
+    mean color of the float32 image it wrote, so the check reads no file back.
     """
     config.validate()
     root = Path(out_dir)
@@ -295,28 +299,25 @@ def generate_corpus(config: CorpusConfig, out_dir) -> list:
                 for _ in range(count):
                     image_id = f"{class_name}_{mag}x_{serial:04d}"
                     serial += 1
-                    rng = _image_rng(config.seed, image_id)
-                    img = render_texture(class_id, mag, config.side, rng)
                     rel = Path(split) / class_name / f"{mag}x" / f"{image_id}.ftc"
-                    (root / rel).parent.mkdir(parents=True, exist_ok=True)
-                    write_tensor(
-                        root / rel,
-                        img.astype(np.float32),
-                        meta={
-                            "class": class_name,
-                            "magnification": mag,
-                            "seed": config.seed,
-                            "id": image_id,
-                        },
-                    )
-                    records.append(
-                        SampleRecord(image_id, class_id, mag, split, str(rel))
-                    )
+                    records.append(SampleRecord(image_id, class_id, mag, split, str(rel)))
+    for folder in {Path(rec.path).parent for rec in records}:
+        (root / folder).mkdir(parents=True, exist_ok=True)
+
+    def render(rec: SampleRecord) -> np.ndarray:
+        rng = _image_rng(config.seed, rec.image_id)
+        img = render_texture(rec.class_id, rec.magnification, config.side, rng).astype(np.float32)
+        meta = {"class": CLASS_NAMES[rec.class_id], "magnification": rec.magnification,
+                "seed": config.seed, "id": rec.image_id}
+        write_tensor(root / rec.path, img, meta=meta)
+        return img.mean(axis=(0, 1))
+
+    means = fork_map(render, records)
     with open(root / "index.jsonl", "w") as fh:
         for rec in records:
             fh.write(json.dumps(vars(rec), sort_keys=True) + "\n")
     if config.counts[2] > 0:
-        acc = _mean_color_linear_probe_accuracy(records, root)
+        acc = _mean_color_linear_probe_accuracy(records, means)
         if acc > 0.95:
             raise ContractViolation(
                 f"corpus too easy: mean-color probe reaches {acc:.3f} test accuracy"

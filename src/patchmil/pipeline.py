@@ -4,7 +4,9 @@ Whole images are tiled into encoder-sized patches; each patch embedding is the
 GAP of its feature map. A whole-image embedding (for linear probing) is the
 mean of its patch embeddings; a bag (for MIL) keeps the patch embeddings and
 their grid positions. A corpus split is read, tiled and embedded one block of
-images at a time, so its pixels are never all in memory at once.
+images at a time, one process per available CPU (`parallel.fork_map`), so its
+pixels are never all in memory at once and the embeddings are those of the
+same blocks embedded one after another.
 `finetune_mil` trains the encoder and a MIL head end to end with
 `mil.train_epochs`, the loop that `mil.train_mil` uses on frozen bags.
 
@@ -31,6 +33,7 @@ from . import mil as ML
 from . import selfsup as S
 from . import tensor as T
 from .errors import ConfigError, ContractViolation, FormatError
+from .parallel import fork_map
 
 # pretraining loss subsets of the loss ablation; the last is the full loss
 LOSS_ROWS = (
@@ -41,9 +44,9 @@ LOSS_ROWS = (
 )
 ABLATION_STAGES = ("probes", "ssl", "finetune", "bags", "mil")
 FINETUNE_LR = 3e-3
-# Patches per encoder batch of `embed_patches`. A 128-patch batch needs less
-# memory than one SSL step at the desk arch (14 vs 29 MB), so a probe run
-# after pretraining reuses the heap the steps left instead of growing it.
+# Patches per encoder batch of `embed_patches`, and per block of `_embed_split`.
+# A 128-patch batch needs 14 MB at the desk arch; a split's blocks are embedded
+# in forked children, so that memory is a child's, one block per child.
 EMBED_CHUNK = 128
 
 
@@ -81,28 +84,29 @@ def image_patches(images: np.ndarray, patch_side: int):
 def _embed_split(corpus_dir, split: str, params: dict, arch: bb.ArchConfig):
     """Patch embeddings of a split, read, tiled and embedded one block at a time.
 
-    A block is as many images as one `embed_patches` chunk holds, so only one
-    block's pixels are in memory. When the patches per image divide the chunk
-    (4 or 16 on 64-pixel images), the encoder gets the very batches of the
-    whole split's patches. Returns (embeddings (N, patches per image, C),
+    A block is as many images as one `embed_patches` chunk holds. The blocks
+    are mapped by `parallel.fork_map`, so each child holds only the pixels of
+    the block it embeds. When the patches per image divide the chunk (4 or 16
+    on 64-pixel images), the encoder gets the very batches of the whole
+    split's patches. Returns (embeddings (N, patches per image, C),
     positions, labels).
     """
     records = D.split_records(corpus_dir, split)
     shape = D.tensor_shape(Path(corpus_dir) / records[0].path)
     tiles = (shape[0] // arch.side) * (shape[1] // arch.side)  # 0 makes image_patches raise
     block = max(1, EMBED_CHUNK // max(tiles, 1))
-    emb = None
-    for start in range(0, len(records), block):
+
+    def embed_block(start: int):
         images = D.read_images(corpus_dir, records[start : start + block])
         if images.shape[1:] != shape:  # read_images checks within its block only
             raise FormatError(f"image {records[start].path} of {corpus_dir} has shape "
                               f"{images.shape[1:]}, not the {shape} of {records[0].path}")
         patches, per_image, positions = image_patches(images, arch.side)
-        out = embed_patches(patches, params, arch).reshape(len(images), per_image, -1)
-        if emb is None:
-            emb = np.empty((len(records),) + out.shape[1:], out.dtype)
-        emb[start : start + len(images)] = out
-    return emb, positions, np.array([r.class_id for r in records])
+        return embed_patches(patches, params, arch).reshape(len(images), per_image, -1), positions
+
+    blocks = fork_map(embed_block, range(0, len(records), block))
+    emb = np.concatenate([out for out, _ in blocks])
+    return emb, blocks[-1][1], np.array([r.class_id for r in records])
 
 
 def bags_from_corpus(corpus_dir, split: str, params: dict, arch: bb.ArchConfig):

@@ -176,6 +176,16 @@ class TestGenerateData:
         assert main(args + ["--out", str(tmp_path / "b"), "--seed", "3"]) == 0
         assert D.index_checksum(tmp_path / "a") == D.index_checksum(tmp_path / "b")
 
+    @pytest.mark.parametrize("counts", ["2,1", "2,1,1,5"])
+    def test_counts_other_than_three_refused_before_any_file(self, tmp_path, capsys, counts):
+        out = tmp_path / "c"
+        argv = ["generate-data", "--counts", counts, "--magnifications", "10", "--side", "32",
+                "--out", str(out)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad split counts") and err.count("\n") == 1
+        assert not out.exists() or not any(out.iterdir())
+
     def test_env_var_supplies_corpus(self, corpus, monkeypatch, tmp_path):
         monkeypatch.setenv("PATCHMIL_CORPUS", str(corpus))
         assert main(["linear-probe", "--random-init", "--json", str(tmp_path / "p.json")]) == 0
@@ -433,6 +443,21 @@ class TestMIL:
             assert abs(sum(float(v) for v in row) - 1.0) < 1e-5
         pgm = (out / "bag0000_attention.pgm").read_text().splitlines()
         assert pgm[0] == "P2" and pgm[2] == "255"
+
+    @pytest.mark.parametrize("limit", ["0", "-1"])
+    def test_export_attention_limit_below_one_is_usage_error(
+        self, corpus, mil_run, tmp_path, capsys, monkeypatch, limit
+    ):
+        def embed(*args):
+            raise AssertionError("a bag was embedded")
+
+        monkeypatch.setattr(P, "bags_from_corpus", embed)
+        out = tmp_path / "attn"
+        argv = ["export-attention", "--corpus", str(corpus), "--mil-run", str(mil_run),
+                "--out", str(out), "--limit", limit]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"usage error: --limit must be at least 1, got {limit}\n"
+        assert not out.exists()
 
     def test_export_attention_refuses_a_run_without_adaptive_pool(
         self, corpus, pretrain_run, tmp_path, capsys

@@ -17,6 +17,36 @@ RECORD = {"image_id": "brain_10x_0000", "class_id": 0, "magnification": 10, "spl
           "path": "train/brain/10x/brain_10x_0000.ftc"}
 
 
+def reference_generate_corpus(config, root):
+    """The serial renderer: one image after another, each written as it is made.
+
+    Returns (records, mean colors of the images read back, mean-color probe
+    accuracy or None when there is no test split).
+    """
+    records = []
+    for class_id, class_name in enumerate(D.CLASS_NAMES):
+        for mag in config.magnifications:
+            serial = 0
+            for split, count in zip(D.SPLITS, config.counts):
+                for _ in range(count):
+                    image_id = f"{class_name}_{mag}x_{serial:04d}"
+                    serial += 1
+                    rng = D._image_rng(config.seed, image_id)
+                    img = D.render_texture(class_id, mag, config.side, rng)
+                    rel = Path(split) / class_name / f"{mag}x" / f"{image_id}.ftc"
+                    (root / rel).parent.mkdir(parents=True, exist_ok=True)
+                    meta = {"class": class_name, "magnification": mag, "seed": config.seed,
+                            "id": image_id}
+                    D.write_tensor(root / rel, img.astype(np.float32), meta=meta)
+                    records.append(D.SampleRecord(image_id, class_id, mag, split, str(rel)))
+    with open(root / "index.jsonl", "w") as fh:
+        for rec in records:
+            fh.write(json.dumps(vars(rec), sort_keys=True) + "\n")
+    means = [D.read_tensor(root / r.path)[0].mean(axis=(0, 1)) for r in records]
+    acc = D._mean_color_linear_probe_accuracy(records, means) if config.counts[2] else None
+    return records, np.array(means), acc
+
+
 class TestTensorContainer:
     def test_round_trip_bit_identical(self, tmp_path):
         arr = np.random.default_rng(0).normal(size=(3, 4, 5)).astype(np.float32)
@@ -247,8 +277,39 @@ class TestCorpus:
 
     def test_mean_color_probe_is_capped(self, tmp_path):
         records = D.generate_corpus(SMALL, tmp_path / "c")
-        acc = D._mean_color_linear_probe_accuracy(records, tmp_path / "c")
+        means = [D.read_tensor(tmp_path / "c" / r.path)[0].mean(axis=(0, 1)) for r in records]
+        acc = D._mean_color_linear_probe_accuracy(records, means)
         assert acc <= 0.95
+
+    @pytest.mark.parametrize("seed", [0, 11])
+    @pytest.mark.parametrize("mags", [(10,), (10, 20)])
+    def test_forked_corpus_equals_serial_reference(self, tmp_path, monkeypatch, seed, mags):
+        cfg = D.CorpusConfig(counts=(3, 1, 2), magnifications=mags, side=32, seed=seed)
+        want_records, want_means, want_acc = reference_generate_corpus(cfg, tmp_path / "ref")
+        probe, probed = D._mean_color_linear_probe_accuracy, []
+
+        def spy(records, means):
+            probed.append((np.array(means), probe(records, means)))
+            return probed[-1][1]
+
+        monkeypatch.setattr(D, "_mean_color_linear_probe_accuracy", spy)
+        records = D.generate_corpus(cfg, tmp_path / "got")
+        assert [vars(r) for r in records] == [vars(r) for r in want_records]
+        got_files, want_files = (sorted(p.relative_to(root) for p in root.rglob("*") if p.is_file())
+                                 for root in (tmp_path / "got", tmp_path / "ref"))
+        assert got_files == want_files and Path("index.jsonl") in got_files
+        for rel in want_files:
+            assert (tmp_path / "got" / rel).read_bytes() == (tmp_path / "ref" / rel).read_bytes()
+        [(means, acc)] = probed
+        assert means.dtype == want_means.dtype and means.tobytes() == want_means.tobytes()
+        assert acc == want_acc
+
+    @pytest.mark.parametrize("counts", [(2, 1), (2, 1, 1, 5)])
+    def test_counts_other_than_three_rejected(self, tmp_path, counts):
+        cfg = D.CorpusConfig(counts=counts, magnifications=(10,), side=32)
+        with pytest.raises(ContractViolation, match="bad split counts"):
+            D.generate_corpus(cfg, tmp_path / "c")
+        assert not (tmp_path / "c").exists()
 
     def test_bad_magnification_rejected(self):
         with pytest.raises(ContractViolation):

@@ -12,6 +12,7 @@ from patchmil import data as D
 from patchmil import metrics as MM
 from patchmil import mil as ML
 from patchmil import pipeline as P
+from patchmil import tensor as T
 from patchmil.errors import ConfigError, ContractViolation, FormatError
 
 ARCH = bb.ArchConfig(
@@ -69,6 +70,22 @@ def reference_probe_metrics(corpus_dir, params, arch):
     w, b, norm = P.train_linear_probe(reference_embed_images(train_x, params, arch), train_y)
     preds = P.probe_predict(reference_embed_images(test_x, params, arch), w, b, norm)
     return MM.metrics_from_predictions(preds, test_y)
+
+
+def reference_block_embed(corpus_dir, split, params, arch):
+    """The blocks of `_embed_split` read, tiled and embedded one after another."""
+    records = D.split_records(corpus_dir, split)
+    shape = D.tensor_shape(corpus_dir / records[0].path)
+    block = P.EMBED_CHUNK // ((shape[0] // arch.side) * (shape[1] // arch.side))
+    emb = None
+    for start in range(0, len(records), block):
+        images = D.read_images(corpus_dir, records[start : start + block])
+        patches, per_image, positions = P.image_patches(images, arch.side)
+        out = P.embed_patches(patches, params, arch).reshape(len(images), per_image, -1)
+        if emb is None:
+            emb = np.empty((len(records),) + out.shape[1:], out.dtype)
+        emb[start : start + len(images)] = out
+    return emb, positions, np.array([r.class_id for r in records])
 
 
 def same_bytes(a, b):
@@ -168,6 +185,28 @@ class TestBlockByBlock:
     def test_linear_probe_equals_whole_split_reference(self, blocks_corpus, params):
         got = P.linear_probe_metrics(blocks_corpus, params, ARCH)
         assert got == reference_probe_metrics(blocks_corpus, params, ARCH)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_forked_blocks_equal_serial_blocks(self, blocks_corpus, dtype):
+        block = P.EMBED_CHUNK // (BLOCKS_CORPUS.side // ARCH.side) ** 2
+        assert len(D.split_records(blocks_corpus, "train")) % block > 0  # a partial last block
+        with T.default_dtype(dtype):
+            params = bb.init_backbone(np.random.default_rng(0), ARCH)
+            for split in D.SPLITS:
+                emb, positions, labels = reference_block_embed(blocks_corpus, split, params, ARCH)
+                assert emb.dtype == dtype
+                bags = P.bags_from_corpus(blocks_corpus, split, params, ARCH)
+                assert len(bags) == len(emb)
+                for i, bag in enumerate(bags):
+                    assert same_bytes(bag.instances, emb[i])
+                    assert same_bytes(bag.positions, positions)
+                    assert bag.label == labels[i]
+            got = P.linear_probe_metrics(blocks_corpus, params, ARCH)
+            f_tr, _, y_tr = reference_block_embed(blocks_corpus, "train", params, ARCH)
+            f_te, _, y_te = reference_block_embed(blocks_corpus, "test", params, ARCH)
+        w, b, norm = P.train_linear_probe(f_tr.mean(axis=1), y_tr)
+        want = MM.metrics_from_predictions(P.probe_predict(f_te.mean(axis=1), w, b, norm), y_te)
+        assert got == want
 
     def test_image_shape_change_between_blocks_is_refused(self, blocks_corpus, params, tmp_path):
         root = tmp_path / "c"
