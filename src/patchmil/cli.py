@@ -31,8 +31,11 @@ from . import selfsup as S
 from .errors import ConfigError, ContractViolation, FormatError, NumericError, WorkerError
 
 
-def _parse_ints(text: str) -> tuple:
-    return tuple(int(v) for v in text.split(","))
+def _parse_ints(flag: str, text: str) -> tuple:
+    try:
+        return tuple(int(v) for v in text.split(","))
+    except ValueError:
+        raise ConfigError(f"{flag} takes comma-separated integers, got {text!r}") from None
 
 
 def _fresh_run_dir(path: str) -> Path:
@@ -63,8 +66,8 @@ def _corpus_dir(args) -> str:
 
 def cmd_generate_data(args) -> int:
     cfg = D.CorpusConfig(
-        counts=_parse_ints(args.counts),
-        magnifications=_parse_ints(args.magnifications),
+        counts=_parse_ints("--counts", args.counts),
+        magnifications=_parse_ints("--magnifications", args.magnifications),
         side=args.side,
         seed=args.seed,
     )

@@ -8,32 +8,31 @@ student. The objective combines a global cosine loss, a per-part cosine loss,
 and variance/covariance regularizers that keep the embedding batch from
 collapsing.
 
-`pretrain` makes the augmented views of `view_batches` in one worker process,
-forked from the caller (so it needs the `fork` start method) and at most
-PREFETCH batches ahead of the training step, which runs in the caller. The
-worker is killed and joined when `pretrain` returns or raises. `pretrain`
-writes no files: it reports every step through `progress(record)`, and the
-command line turns the records into a run's `losses.csv`.
+Augmentation is split in two: `draw_view` draws a view's parameters (no
+draw depends on the pixels) and `apply_view` turns them into pixels. The
+caller of `pretrain` draws every batch in order from one generator;
+`parallel.fork_imap` applies them in forked children (so it needs the `fork`
+start method), at most PREFETCH batches ahead of the training step, which
+runs in the caller. The views equal those of `view_batches`, which runs the
+same two steps in the caller. Every child is joined when `pretrain` returns
+or raises. `pretrain` writes no files: it reports every step through
+`progress(record)`, and the command line turns the records into a run's
+`losses.csv`.
 """
 
 from __future__ import annotations
 
 import math
-import mmap
-import multiprocessing as mp
-import pickle
-import signal
-import traceback
 from contextlib import closing
 from dataclasses import dataclass, field
-from multiprocessing.connection import wait
 
 import numpy as np
 from scipy import ndimage
 
 from . import backbone as bb
 from . import tensor as T
-from .errors import ConfigError, ContractViolation, NumericError, WorkerError
+from .errors import ConfigError, ContractViolation, NumericError
+from .parallel import fork_imap
 from .tensor import Adam, Tensor
 
 LOSS_TERMS = ("global", "parts", "var", "cov")
@@ -83,20 +82,35 @@ class SSLConfig:
 # ---------------------------------------------------------------------------
 
 
-def _color_jitter(img, rng):
-    """Staining-style jitter: gamma, per-channel gain, and offset."""
-    mult = rng.uniform(0.75, 1.25, size=3)
-    add = rng.uniform(-0.1, 0.1, size=3)
-    gamma = np.exp(rng.normal(scale=0.3))
-    return np.clip(np.clip(img, 0.0, 1.0) ** gamma * mult + add, 0.0, 1.0)
+VIEW_PARAMS = 15  # the floats of one view's parameters, as `draw_view` lays them out
 
 
-def _random_affine(img, rng):
+def draw_view(rng: np.random.Generator, side: int) -> np.ndarray:
+    """One view's augmentation parameters for a patch of `side` pixels.
+
+    No draw depends on the pixels, so the parameters of every view can be
+    drawn in order in one process and applied in another by `apply_view`.
+    """
+    params = np.empty(VIEW_PARAMS)
+    params[0:3] = rng.uniform(0.75, 1.25, size=3)  # jitter: per-channel gain
+    params[3:6] = rng.uniform(-0.1, 0.1, size=3)  # jitter: offset
+    params[6] = np.exp(rng.normal(scale=0.3))  # jitter: gamma
+    params[7] = rng.uniform(-10.0, 10.0)  # affine: angle in degrees
+    params[8] = rng.uniform(0.9, 1.1)  # affine: scale
+    params[9:11] = rng.uniform(-0.1, 0.1, size=2) * side  # affine: shift in pixels
+    params[11] = rng.uniform(0.0, 1.5) if rng.uniform() < 0.5 else 0.0  # blur sigma, 0: none
+    for _ in range(10):
+        crop = int(round(rng.uniform(0.8, 1.0) * side))
+        if crop >= 4:
+            break
+    params[12:15] = crop, rng.integers(0, side - crop + 1), rng.integers(0, side - crop + 1)
+    return params
+
+
+def _random_affine(img, angle: float, scale: float, shift):
     side = img.shape[0]
-    angle = math.radians(rng.uniform(-10.0, 10.0))
-    scale = rng.uniform(0.9, 1.1)
-    shift = rng.uniform(-0.1, 0.1, size=2) * side
     center = (side - 1) / 2.0
+    angle = math.radians(angle)
     cos_a, sin_a = math.cos(angle), math.sin(angle)
     # output -> input mapping (scipy applies matrix @ out + offset)
     matrix = np.array([[cos_a, -sin_a], [sin_a, cos_a]]) / scale
@@ -111,22 +125,9 @@ def _random_affine(img, rng):
     return out
 
 
-def _gaussian_blur(img, rng):
-    if rng.uniform() < 0.5:
-        sigma = rng.uniform(0.0, 1.5)
-        if sigma > 0:
-            img = ndimage.gaussian_filter(img, sigma=(sigma, sigma, 0))
-    return img
-
-
-def _resized_crop(img, rng):
+def _resized_crop(img, crop: int, r: int, c: int):
+    """The `crop`-pixel square at row r, column c, zoomed back to the image's side."""
     side = img.shape[0]
-    for _ in range(10):
-        crop = int(round(rng.uniform(0.8, 1.0) * side))
-        if crop >= 4:
-            break
-    r = rng.integers(0, side - crop + 1)
-    c = rng.integers(0, side - crop + 1)
     patch = img[r : r + crop, c : c + crop]
     if crop == side:
         return patch
@@ -138,23 +139,27 @@ def _resized_crop(img, rng):
     return out[:side, :side]
 
 
-def augment_view(patch: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """One stochastic draw of the jitter/affine/blur/crop pipeline.
+def apply_view(patch: np.ndarray, params: np.ndarray) -> np.ndarray:
+    """The view of `patch` that `draw_view`'s parameters give: jitter, affine, blur, crop.
 
     Deliberately no flips or large rotations: texture orientation carries
-    class identity, so the pipeline is restricted to photometric jitter and
-    mild geometric perturbations.
+    class identity, so the pipeline is restricted to staining-style
+    photometric jitter and mild geometric perturbations.
     """
-    img = _color_jitter(np.asarray(patch, dtype=np.float64), rng)
-    img = _random_affine(img, rng)
-    img = _gaussian_blur(img, rng)
-    img = _resized_crop(img, rng)
+    img = np.clip(np.asarray(patch, dtype=np.float64), 0.0, 1.0) ** params[6]
+    img = np.clip(img * params[0:3] + params[3:6], 0.0, 1.0)
+    img = _random_affine(img, float(params[7]), float(params[8]), params[9:11])
+    sigma = float(params[11])
+    if sigma > 0:
+        img = ndimage.gaussian_filter(img, sigma=(sigma, sigma, 0))
+    img = _resized_crop(img, *(int(v) for v in params[12:15]))
     return np.ascontiguousarray(np.clip(img, 0.0, 1.0))
 
 
 def augment(patch: np.ndarray, rng: np.random.Generator) -> tuple:
     """Two independent augmented views of one source patch: (view_s, view_t)."""
-    return augment_view(patch, rng), augment_view(patch, rng)
+    side = patch.shape[0]
+    return tuple(apply_view(patch, draw_view(rng, side)) for _ in range(2))
 
 
 # ---------------------------------------------------------------------------
@@ -332,129 +337,61 @@ def _epoch_batches(n: int, batch_size: int) -> list:
     return [slice(s * batch_size, end) for s, end in enumerate(ends) if end - s * batch_size >= 2]
 
 
-def view_batches(patches: np.ndarray, cfg: SSLConfig):
-    """Yield the (views_s, views_t) batches of `pretrain`, in its draw order.
+def _drawn_batches(n: int, side: int, cfg: SSLConfig):
+    """Yield each batch of `pretrain` as (patch indices, view parameters (B, 2, VIEW_PARAMS)).
 
     The generator owns `default_rng(cfg.seed + 1)`: one permutation of the
-    patches per epoch, then two `augment` views per patch, batch by batch.
+    patches per epoch, then the view_s and view_t parameters of each patch,
+    batch by batch.
     """
     rng = np.random.default_rng(cfg.seed + 1)
-    n = patches.shape[0]
     batches = _epoch_batches(n, cfg.batch_size)
     for _ in range(cfg.epochs):
         order = rng.permutation(n)
         for batch in batches:
             idx = order[batch]
-            views_s = np.empty((idx.size,) + patches.shape[1:])
-            views_t = np.empty_like(views_s)
-            for row, i in enumerate(idx):
-                views_s[row], views_t[row] = augment(patches[i], rng)
-            yield views_s, views_t
+            yield idx, np.array([(draw_view(rng, side), draw_view(rng, side)) for _ in idx])
 
 
-# ---------------------------------------------------------------------------
-# augmentation worker
-# ---------------------------------------------------------------------------
+def _views(patches: np.ndarray, drawn) -> np.ndarray:
+    """The views of one drawn batch, (2, B, side, side, 3): views_s, then views_t.
 
-PREFETCH = 2  # batches the augmentation worker may run ahead of the training step
-
-
-class _RemoteTraceback(Exception):
-    """The worker's formatted traceback, chained as the cause of its re-raised error."""
-
-    def __str__(self):
-        return self.args[0]
-
-
-def _augment_worker(patches, cfg, slots, conn, parent_end) -> None:
-    """Child process body: write the `view_batches` into the slots, one message each.
-
-    Batch k goes to slot k % PREFETCH once the parent has sent back the slot
-    of batch k - PREFETCH. An error is sent as (exception, traceback text).
+    They come in the default dtype, as the encoder reads them: in float32 that
+    halves what a child sends back, and the encoder's input is the same.
     """
-    signal.signal(signal.SIGINT, signal.SIG_IGN)  # on Ctrl-C the parent ends this process
-    parent_end.close()  # so that the parent's death reads as EOF here
-    try:
-        for k, (views_s, views_t) in enumerate(view_batches(patches, cfg)):
-            if k >= PREFETCH:
-                conn.recv()
-            size = views_s.shape[0]
-            slots[k % PREFETCH, 0, :size] = views_s
-            slots[k % PREFETCH, 1, :size] = views_t
-            conn.send((size, None))
-    except (EOFError, ConnectionResetError):
-        pass  # the parent has gone
-    except Exception as exc:
-        try:
-            pickle.loads(pickle.dumps(exc))
-        except Exception:
-            exc = RuntimeError(f"{type(exc).__name__}: {exc}")
-        conn.send((0, (exc, traceback.format_exc())))
+    idx, params = drawn
+    views = np.empty((2, idx.size) + patches.shape[1:])
+    for row, i in enumerate(idx):
+        views[0, row] = apply_view(patches[i], params[row, 0])
+        views[1, row] = apply_view(patches[i], params[row, 1])
+    return T.Tensor(views).data
 
 
-def _receive(conn, proc):
-    """The worker's next message; raises WorkerError if it exited without one."""
-    wait([conn, proc.sentinel])
-    if conn.poll():
-        try:
-            return conn.recv()
-        except (EOFError, ConnectionResetError):  # reset: the worker died with our tokens unread
-            pass
-    proc.join()
-    raise WorkerError(f"the augmentation worker exited with code {proc.exitcode} without a batch")
+def view_batches(patches: np.ndarray, cfg: SSLConfig):
+    """Yield the (views_s, views_t) batches of `pretrain`, in its order, made in the caller."""
+    for drawn in _drawn_batches(patches.shape[0], patches.shape[1], cfg):
+        yield tuple(_views(patches, drawn))
 
 
-def _forked_view_batches(patches: np.ndarray, cfg: SSLConfig, total: int):
-    """Yield the `total` batches of `view_batches`, made in one forked child.
-
-    The child inherits `patches` without pickling and writes each batch into
-    one of PREFETCH shared-memory slots; the parent copies it out and sends
-    the slot back. Closing the generator kills and joins the child.
-    """
-    ctx = mp.get_context("fork")
-    shape = (PREFETCH, 2, min(patches.shape[0], cfg.batch_size)) + patches.shape[1:]
-    slots = np.frombuffer(mmap.mmap(-1, 8 * math.prod(shape)), np.float64).reshape(shape)
-    conn, child_conn = ctx.Pipe()
-    proc = ctx.Process(
-        target=_augment_worker, args=(patches, cfg, slots, child_conn, conn), daemon=True
-    )
-    proc.start()
-    child_conn.close()
-    try:
-        for k in range(total):
-            size, error = _receive(conn, proc)
-            if error is not None:
-                exc, tb = error
-                raise exc from _RemoteTraceback(tb)
-            slot = slots[k % PREFETCH]
-            views_s, views_t = slot[0, :size].copy(), slot[1, :size].copy()
-            if k + PREFETCH < total:
-                try:
-                    conn.send(None)  # the slot is free for batch k + PREFETCH
-                except OSError:
-                    pass  # the worker has died; the next _receive says how
-            yield views_s, views_t
-    finally:
-        proc.kill()
-        proc.join()
-        proc.close()
-        conn.close()
+PREFETCH = 2  # batches the augmentation may run ahead of the training step
 
 
 def pretrain(patches: np.ndarray, cfg: SSLConfig, progress=None) -> SSLState:
     """Full pretraining loop over an array of (P, side, side, 3) patches.
 
-    The augmented views come from `view_batches` run in one forked worker
-    process, so augmentation overlaps the training steps. After every step,
-    `progress(record)` gets a new dict: the epoch, the step count so far and
-    the step's `pretrain_step` report.
+    The views are those of `view_batches`: the caller draws each batch's
+    parameters, and `parallel.fork_imap` applies them in forked children at
+    most PREFETCH batches ahead, so augmentation overlaps the training steps.
+    After every step, `progress(record)` gets a new dict: the epoch, the step
+    count so far and the step's `pretrain_step` report.
     """
     cfg.validate()
     state = SSLState(cfg)
     n = patches.shape[0]
     total_steps = cfg.epochs * max(1, n // cfg.batch_size)
     per_epoch = len(_epoch_batches(n, cfg.batch_size))
-    with closing(_forked_view_batches(patches, cfg, cfg.epochs * per_epoch)) as batches:
+    drawn = _drawn_batches(n, patches.shape[1], cfg)
+    with closing(fork_imap(lambda batch: _views(patches, batch), drawn, PREFETCH)) as batches:
         for k, (views_s, views_t) in enumerate(batches):
             lr = cosine_lr(cfg.lr, state.step_count, total_steps)
             report = pretrain_step(views_s, views_t, state, lr)

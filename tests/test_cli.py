@@ -186,6 +186,18 @@ class TestGenerateData:
         assert err.startswith("error: bad split counts") and err.count("\n") == 1
         assert not out.exists() or not any(out.iterdir())
 
+    @pytest.mark.parametrize("flag, value", [("--counts", "2,x,1"), ("--counts", "2,,1"),
+                                             ("--magnifications", "10,y")])
+    def test_non_integer_in_a_list_is_usage_error(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "c"
+        argv = ["generate-data", "--counts", "1,1,1", "--magnifications", "10", "--side", "32",
+                "--out", str(out), flag, value]  # the last value of a flag wins
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"usage error: {flag} takes comma-separated integers, got {value!r}\n"
+        )
+        assert not out.exists()
+
     def test_env_var_supplies_corpus(self, corpus, monkeypatch, tmp_path):
         monkeypatch.setenv("PATCHMIL_CORPUS", str(corpus))
         assert main(["linear-probe", "--random-init", "--json", str(tmp_path / "p.json")]) == 0

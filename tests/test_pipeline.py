@@ -224,7 +224,10 @@ class TestBlockByBlock:
         with pytest.raises(ContractViolation, match="no images"):
             P.bags_from_corpus(tmp_path / "c", "val", params, ARCH)
 
-    def test_peak_memory_does_not_grow_with_split(self, tmp_path, params):
+    def test_peak_memory_does_not_grow_with_split(self, tmp_path, params, monkeypatch):
+        # blocks embedded in this process, where tracemalloc sees them
+        monkeypatch.setattr(P, "fork_map", lambda fn, items: [fn(item) for item in items])
+
         def traced_peak(counts):
             cfg = D.CorpusConfig(counts=counts, magnifications=(10, 20), side=64, seed=3)
             D.generate_corpus(cfg, tmp_path / str(counts[0]))

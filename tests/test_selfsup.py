@@ -26,17 +26,11 @@ SMALL_ARCH = bb.ArchConfig(
 )
 
 
-def reference_resized_crop(img, rng):
+def reference_resized_crop(img, crop, r, c):
     """The crop-zoom as one 3-D `ndimage.zoom` of the (H, W, 3) crop."""
     from scipy import ndimage
 
     side = img.shape[0]
-    for _ in range(10):
-        crop = int(round(rng.uniform(0.8, 1.0) * side))
-        if crop >= 4:
-            break
-    r = rng.integers(0, side - crop + 1)
-    c = rng.integers(0, side - crop + 1)
     patch = img[r : r + crop, c : c + crop]
     if crop == side:
         return patch
@@ -44,25 +38,13 @@ def reference_resized_crop(img, rng):
     return ndimage.zoom(patch, (zoom, zoom, 1.0), order=1)[:side, :side]
 
 
-class FixedCrop:
-    """Stands in for the generator: draws a `crop`-pixel square at a fixed offset."""
-
-    def __init__(self, crop, side):
-        self.crop, self.side = crop, side
-
-    def uniform(self, low, high):
-        return self.crop / self.side  # exact for a side of 32
-
-    def integers(self, low, high):
-        return (high - 1) // 2
-
-
 class TestAugment:
     @pytest.mark.parametrize("crop", range(26, 33))
     def test_crop_zoom_equals_3d_zoom(self, crop):
         img = np.random.default_rng(crop).uniform(size=(32, 32, 3))
-        got = S._resized_crop(img, FixedCrop(crop, 32))
-        want = reference_resized_crop(img, FixedCrop(crop, 32))
+        r = c = (32 - crop) // 2
+        got = S._resized_crop(img, crop, r, c)
+        want = reference_resized_crop(img, crop, r, c)
         assert got.shape == want.shape == (32, 32, 3)
         assert got.tobytes() == want.tobytes()
 
@@ -98,7 +80,7 @@ class TestAugment:
         rng = np.random.default_rng(3)
         for _ in range(1000):
             patch = rng.uniform(size=(8, 8, 3))
-            view = S.augment_view(patch, rng)
+            view = S.apply_view(patch, S.draw_view(rng, 8))
             assert view.shape == (8, 8, 3)
             assert view.min() >= 0.0 and view.max() <= 1.0
 
@@ -459,16 +441,18 @@ class TestPretrainLoop:
         cfg = S.SSLConfig(arch=SMALL_ARCH, epochs=2, batch_size=4, lr=0.01, seed=5)
         return np.random.default_rng(3).uniform(size=(10, 16, 16, 3)), cfg
 
-    def test_worker_equals_in_process_reference(self):
+    def assert_worker_equals_in_process_reference(self, dtype):
         patches, cfg = self.make()
         records = []
-        state = S.pretrain(patches, cfg, progress=records.append)
-        reference = S.SSLState(cfg)
-        expected = []
-        for k, (views_s, views_t) in enumerate(S.view_batches(patches, cfg)):
-            lr = S.cosine_lr(cfg.lr, reference.step_count, cfg.epochs * 2)
-            report = S.pretrain_step(views_s, views_t, reference, lr)
-            expected.append({"epoch": k // 2, "step": k + 1, **report})
+        with T.default_dtype(dtype):
+            state = S.pretrain(patches, cfg, progress=records.append)
+            reference = S.SSLState(cfg)
+            expected = []
+            for k, (views_s, views_t) in enumerate(S.view_batches(patches, cfg)):
+                assert views_s.dtype == views_t.dtype == dtype  # as the encoder reads them
+                lr = S.cosine_lr(cfg.lr, reference.step_count, cfg.epochs * 2)
+                report = S.pretrain_step(views_s, views_t, reference, lr)
+                expected.append({"epoch": k // 2, "step": k + 1, **report})
         # the records hold the reports' own floats: exact equality
         assert len(expected) == 4 and records == expected
         for group in ("student", "student_heads", "teacher", "teacher_heads"):
@@ -476,6 +460,12 @@ class TestPretrainLoop:
             assert ours.keys() == theirs.keys()
             for key in ours:
                 assert ours[key].data.tobytes() == theirs[key].data.tobytes(), (group, key)
+
+    def test_worker_equals_in_process_reference(self):
+        self.assert_worker_equals_in_process_reference(np.float64)
+
+    def test_worker_equals_in_process_reference_in_float32(self):
+        self.assert_worker_equals_in_process_reference(np.float32)
 
     def test_record_is_a_new_dict_and_the_report_is_untouched(self, monkeypatch):
         patches, cfg = self.make()
@@ -496,29 +486,33 @@ class TestPretrainLoop:
     def test_augment_error_in_worker_raises_its_type(self, monkeypatch):
         patches, cfg = self.make()
 
-        def broken_augment(patch, rng):
+        def broken_apply(patch, params):
             raise NumericError("augment broke")
 
-        monkeypatch.setattr(S, "augment", broken_augment)
+        monkeypatch.setattr(S, "apply_view", broken_apply)
         with pytest.raises(NumericError, match="augment broke") as info:
             S.pretrain(patches, cfg)
-        assert "broken_augment" in str(info.value.__cause__)  # the worker's traceback
+        assert "broken_apply" in str(info.value.__cause__)  # the worker's traceback
+        assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("die_at", [0, 9])
     def test_worker_exiting_silently_raises(self, monkeypatch, die_at):
         patches, cfg = self.make()
+        # each worker counts its own calls; 4 batches of 8 calls over at most
+        # PREFETCH = 2 workers, so one worker reaches call 9
         calls = itertools.count()
 
-        def dying_augment(patch, rng):
+        def dying_apply(patch, params):
             if next(calls) == die_at:
                 os._exit(1)
-            return patch, patch
+            return patch
 
-        monkeypatch.setattr(S, "augment", dying_augment)
+        monkeypatch.setattr(S, "apply_view", dying_apply)
         start = time.monotonic()
-        with pytest.raises(WorkerError, match="code 1"):
+        with pytest.raises(WorkerError, match="exited without a result"):
             S.pretrain(patches, cfg)
         assert time.monotonic() - start < 5
+        assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize(
         "where, error", [(None, None), ("progress", RuntimeError), ("pretrain_step", RuntimeError),
