@@ -208,16 +208,21 @@ def cmd_train_mil(args) -> int:
         # fine-tune records have no train_acc: restval leaves it blank
         writer = csv.DictWriter(fh, ["epoch", "loss", "train_acc", "val_acc"], restval="")
         writer.writeheader()
+
+        def log(record):  # flushed per epoch, so a killed run keeps its history to its last epoch
+            writer.writerow(record)
+            fh.flush()
+
         if args.finetune:
             encoder, params, _ = P.finetune_mil(
                 corpus, backbone_params, arch, mil_cfg, epochs=mil_cfg.epochs,
-                batch_size=mil_cfg.batch_size, lr=args.finetune_lr, progress=writer.writerow,
+                batch_size=mil_cfg.batch_size, lr=args.finetune_lr, progress=log,
             )
             test_bags = P.bags_from_corpus(corpus, "test", encoder, arch)
             groups["student"] = encoder
         else:
             bags, norm = P.frozen_bags(corpus, backbone_params, arch)
-            params, _ = ML.train_mil(bags["train"], bags["val"], mil_cfg, progress=writer.writerow)
+            params, _ = ML.train_mil(bags["train"], bags["val"], mil_cfg, progress=log)
             test_bags = bags["test"]
             groups["norm"] = {"mu": norm[0], "sd": norm[1]}
     report = P.bag_metrics(test_bags, params, mil_cfg)
@@ -256,8 +261,8 @@ def _load_mil_run(run_dir: str):
     return mil_params, mil_cfg, backbone_params, arch, norm
 
 
-def _split_bags(corpus, split, backbone_params, arch, norm):
-    bags = P.bags_from_corpus(corpus, split, backbone_params, arch)
+def _split_bags(corpus, split, backbone_params, arch, norm, limit=None):
+    bags = P.bags_from_corpus(corpus, split, backbone_params, arch, limit)
     return P.standardize_bags(bags, norm) if norm is not None else bags
 
 
@@ -310,7 +315,7 @@ def cmd_export_attention(args) -> int:
     if mil_cfg.pooling != "adaptive":  # the pool weights it writes are the adaptive pool's
         raise ConfigError(f"export-attention needs an adaptive-pool run; {args.mil_run} "
                           f"was trained with {mil_cfg.pooling!r} pooling")
-    bags = _split_bags(corpus, args.split, backbone_params, arch, norm)[: args.limit]
+    bags = _split_bags(corpus, args.split, backbone_params, arch, norm, args.limit)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for i, bag in enumerate(bags):

@@ -5,9 +5,10 @@ a multi-head self-attention block whose logits carry a learned 2-D
 relative-position bias, then through an adaptive pooling step that softmaxes
 across instances per output coordinate. A linear classifier on the pooled bag
 vector is trained with cross-entropy. Max/mean/soft/gated-attention poolings
-are kept as ablation baselines.
-`train_epochs` is the one supervised epoch loop, for `train_mil` on frozen
-bags and for `pipeline.finetune_mil` end to end.
+are kept as ablation baselines. The head takes batches of bags, (B, I, C)
+instances; `classify_bag` and `attention_report` score one `Bag` as a batch
+of one. `train_epochs` is the one supervised epoch loop, for `train_mil` on
+frozen bags and for `pipeline.finetune_mil` end to end.
 """
 
 from __future__ import annotations
@@ -108,55 +109,41 @@ def _position_bias(positions: np.ndarray, params: dict, blk: int, cfg: MILConfig
 
 
 def msa_refine(instances, positions: np.ndarray, params: dict, cfg: MILConfig) -> Tensor:
-    """Contextual refinement of (B, I, C) or (I, C) instances."""
+    """Contextual refinement of (B, I, C) instances at (B, I, 2) grid positions."""
     x = T.as_tensor(instances)
-    squeeze = x.ndim == 2
-    if squeeze:
-        x = x.reshape((1,) + x.shape)
-        positions = positions[None]
+    if x.ndim != 3:
+        raise ContractViolation(f"MIL head needs (B, I, C) instances, got {x.shape}")
     for blk in range(cfg.depth):
         bias = _position_bias(positions, params, blk, cfg)
         normed = _layernorm(x, params[f"msa{blk}_ln1_g"], params[f"msa{blk}_ln1_b"])
         x = x + multihead_attention(normed, params, f"msa{blk}", cfg.heads, bias=bias)
         x = feed_forward(x, params, f"msa{blk}")
-    return x[0] if squeeze else x
+    return x
 
 
 def adaptive_pool(refined, params: dict, cfg: MILConfig, return_weights: bool = False):
-    """Instance-axis softmax gating: mean_i softmax_i(h1(z_i)) * h2(z_i)."""
+    """Instance-axis softmax gating: mean_i softmax_i(h1(z_i)) * h2(z_i) over (..., I, C)."""
     z = T.as_tensor(refined)
-    squeeze = z.ndim == 2
-    if squeeze:
-        z = z.reshape((1,) + z.shape)
     weights = T.softmax(_linear(z, params, "hw1"), axis=-2)  # per coordinate, over I
     gated = weights * _linear(z, params, "hw2")
     bag = gated.sum(axis=-2) if cfg.normalize_bag else gated.mean(axis=-2)
-    if squeeze:
-        bag, weights = bag[0], weights[0]
     return (bag, weights) if return_weights else bag
 
 
 def baseline_pool(refined, kind: str, params: dict, cfg: MILConfig) -> Tensor:
+    """Ablation pooling of (..., I, C) instances over the instance axis."""
     z = T.as_tensor(refined)
-    squeeze = z.ndim == 2
-    if squeeze:
-        z = z.reshape((1,) + z.shape)
     if kind == "max":
-        bag = T.reduce_max(z, axis=-2)
-    elif kind == "mean":
-        bag = z.mean(axis=-2)
-    elif kind == "soft":
-        bag = (T.softmax(z, axis=-2) * z).sum(axis=-2)
-    elif kind == "gated_attention":
+        return T.reduce_max(z, axis=-2)
+    if kind == "mean":
+        return z.mean(axis=-2)
+    if kind == "soft":
+        return (T.softmax(z, axis=-2) * z).sum(axis=-2)
+    if kind == "gated_attention":
         gate = T.tanh(_linear(z, params, "gate_v")) * T.sigmoid(_linear(z, params, "gate_u"))
-        logits = _linear(gate, params, "gate_w")  # (B, I, 1)
-        attn = T.softmax(logits, axis=-2)
-        bag = (attn * z).sum(axis=-2)
-    else:
-        raise ConfigError(
-            f"unknown pooling kind {kind!r}; valid kinds: {', '.join(POOLING_KINDS)}"
-        )
-    return bag[0] if squeeze else bag
+        logits = _linear(gate, params, "gate_w")  # (..., I, 1)
+        return (T.softmax(logits, axis=-2) * z).sum(axis=-2)
+    raise ConfigError(f"unknown pooling kind {kind!r}; valid kinds: {', '.join(POOLING_KINDS)}")
 
 
 def pool(refined, params: dict, cfg: MILConfig) -> Tensor:
@@ -166,6 +153,7 @@ def pool(refined, params: dict, cfg: MILConfig) -> Tensor:
 
 
 def bag_logits(instances, positions, params: dict, cfg: MILConfig) -> Tensor:
+    """(B, K) class logits of (B, I, C) instances at (B, I, 2) grid positions."""
     refined = msa_refine(instances, positions, params, cfg)
     return _linear(pool(refined, params, cfg), params, "cls")
 
@@ -173,20 +161,17 @@ def bag_logits(instances, positions, params: dict, cfg: MILConfig) -> Tensor:
 def classify_bag(bag: Bag, params: dict, cfg: MILConfig) -> np.ndarray:
     """Class logits for one bag; argmax (lowest index on ties) is the prediction."""
     with T.no_grad():
-        return bag_logits(bag.instances, bag.positions, params, cfg).numpy()
+        return bag_logits(bag.instances[None], bag.positions[None], params, cfg).numpy()[0]
 
 
 def cross_entropy(logits, labels) -> Tensor:
-    """Softmax cross-entropy, averaged over a batch of (B, K) logits."""
+    """Softmax cross-entropy of (B, K) logits against (B,) labels, averaged over the batch."""
     z = T.as_tensor(logits)
-    squeeze = z.ndim == 1
-    if squeeze:
-        z = z.reshape((1,) + z.shape)
-    labels = np.atleast_1d(np.asarray(labels, dtype=np.int64))
-    b = z.shape[0]
+    if z.ndim != 2:
+        raise ContractViolation(f"cross_entropy needs (B, K) logits, got {z.shape}")
     shifted = z - T.reduce_max(z, axis=-1, keepdims=True).detach()
     log_norm = T.log(T.exp(shifted).sum(axis=-1))
-    picked = shifted[np.arange(b), labels]
+    picked = shifted[np.arange(z.shape[0]), np.asarray(labels, dtype=np.int64)]
     return (log_norm - picked).mean()
 
 
@@ -286,12 +271,13 @@ def train_mil(train_bags, val_bags, cfg: MILConfig, progress=None):
 
 def attention_report(bag: Bag, params: dict, cfg: MILConfig):
     """Adaptive-pool weights (I, C) and MSA attention maps (heads, I, I) for export."""
+    instances, positions = bag.instances[None], bag.positions[None]
     with T.no_grad():
-        refined = msa_refine(bag.instances, bag.positions, params, cfg)
+        refined = msa_refine(instances, positions, params, cfg)
         _, weights = adaptive_pool(refined, params, cfg, return_weights=True)
         # block 0's attention: same layer norm, q/k and position bias as msa_refine
-        x = T.as_tensor(bag.instances).reshape((1,) + bag.instances.shape)
+        x = T.as_tensor(instances)
         normed = _layernorm(x, params["msa0_ln1_g"], params["msa0_ln1_b"])
         qkv = _qkv(normed, params, "msa0", cfg.heads)
-        bias = _position_bias(bag.positions[None], params, 0, cfg)
-        return weights.numpy(), attention_weights(qkv[0], qkv[1], bias).numpy()[0]
+        bias = _position_bias(positions, params, 0, cfg)
+        return weights.numpy()[0], attention_weights(qkv[0], qkv[1], bias).numpy()[0]

@@ -50,13 +50,12 @@ FINETUNE_LR = 3e-3
 EMBED_CHUNK = 128
 
 
-def embed_patches(patches: np.ndarray, params: dict, arch: bb.ArchConfig,
-                  chunk: int = EMBED_CHUNK) -> np.ndarray:
-    """GAP patch embeddings (P, C) for an array of (P, side, side, 3) patches."""
+def embed_patches(patches: np.ndarray, params: dict, arch: bb.ArchConfig) -> np.ndarray:
+    """GAP patch embeddings (P, C) of (P, side, side, 3) patches, `EMBED_CHUNK` at a time."""
     outs = []
     with T.no_grad():
-        for start in range(0, patches.shape[0], chunk):
-            m = bb.embed_patch(patches[start : start + chunk], params, arch)
+        for start in range(0, patches.shape[0], EMBED_CHUNK):
+            m = bb.embed_patch(patches[start : start + EMBED_CHUNK], params, arch)
             outs.append(bb.gap(m).numpy())
     return np.concatenate(outs, axis=0)
 
@@ -81,15 +80,16 @@ def image_patches(images: np.ndarray, patch_side: int):
     return tiles, rows * cols, positions
 
 
-def _embed_split(corpus_dir, split: str, params: dict, arch: bb.ArchConfig):
+def _embed_split(corpus_dir, split: str, params: dict, arch: bb.ArchConfig, limit=None):
     """Patch embeddings of a split, read, tiled and embedded one block at a time.
 
     A block is as many images as one `embed_patches` chunk holds. The blocks
     are mapped by `parallel.fork_map`, so each child holds only the pixels of
     the block it embeds. When the patches per image divide the chunk (4 or 16
     on 64-pixel images), the encoder gets the very batches of the whole
-    split's patches. Returns (embeddings (N, patches per image, C),
-    positions, labels).
+    split's patches. With a `limit`, only the blocks holding the first
+    `limit` images are embedded, whole, so each embedding keeps its bits.
+    Returns (embeddings (N, patches per image, C), positions, labels).
     """
     records = D.split_records(corpus_dir, split)
     shape = D.tensor_shape(Path(corpus_dir) / records[0].path)
@@ -104,14 +104,15 @@ def _embed_split(corpus_dir, split: str, params: dict, arch: bb.ArchConfig):
         patches, per_image, positions = image_patches(images, arch.side)
         return embed_patches(patches, params, arch).reshape(len(images), per_image, -1), positions
 
-    blocks = fork_map(embed_block, range(0, len(records), block))
-    emb = np.concatenate([out for out, _ in blocks])
-    return emb, blocks[-1][1], np.array([r.class_id for r in records])
+    n = len(records[:limit])
+    blocks = fork_map(embed_block, range(0, n, block))
+    emb = np.concatenate([out for out, _ in blocks])[:n]
+    return emb, blocks[-1][1], np.array([r.class_id for r in records[:n]])
 
 
-def bags_from_corpus(corpus_dir, split: str, params: dict, arch: bb.ArchConfig):
-    """One Bag per corpus image of the split (instances = patch embeddings)."""
-    emb, positions, labels = _embed_split(corpus_dir, split, params, arch)
+def bags_from_corpus(corpus_dir, split: str, params: dict, arch: bb.ArchConfig, limit=None):
+    """One Bag per corpus image of the split, or of its first `limit` images."""
+    emb, positions, labels = _embed_split(corpus_dir, split, params, arch, limit)
     return [ML.Bag(emb[i], positions, int(labels[i])) for i in range(len(labels))]
 
 
@@ -197,15 +198,9 @@ def finetune_mil(
     return encoder, mil_params, history
 
 
-def train_linear_probe(
-    features: np.ndarray,
-    labels: np.ndarray,
-    n_classes: int = 7,
-    iters: int = 300,
-    lr: float = 0.5,
-    l2: float = 1e-4,
-):
+def train_linear_probe(features: np.ndarray, labels: np.ndarray):
     """Full-batch softmax regression; returns (weights, bias, normalization)."""
+    n_classes, iters, lr, l2 = len(D.CLASS_NAMES), 300, 0.5, 1e-4
     present = set(labels.tolist())
     missing = set(range(n_classes)) - present
     if missing:

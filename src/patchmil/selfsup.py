@@ -168,11 +168,10 @@ def augment(patch: np.ndarray, rng: np.random.Generator) -> tuple:
 
 
 def global_loss(z_s, z_t) -> Tensor:
-    """Cosine distance 2 - 2 cos(z_s, z_t); batched inputs are averaged."""
+    """Cosine distance 2 - 2 cos(z_s, z_t) of (N, D) rows, averaged over the batch."""
     z_s, z_t = T.as_tensor(z_s), T.as_tensor(z_t)
     cos = (T.l2_normalize(z_s, axis=-1) * T.l2_normalize(z_t, axis=-1)).sum(axis=-1)
-    loss = 2.0 - 2.0 * cos
-    return loss if loss.ndim == 0 else loss.mean()
+    return (2.0 - 2.0 * cos).mean()
 
 
 def parts_loss(z_s, z_t) -> Tensor:
@@ -186,8 +185,7 @@ def parts_loss(z_s, z_t) -> Tensor:
             k = int(np.argwhere(norms == 0)[0][-1])
             raise NumericError(f"zero-norm {name} part row k={k}")
     cos = (T.l2_normalize(z_s, axis=-1) * T.l2_normalize(z_t, axis=-1)).sum(axis=-1)
-    loss = (2.0 - 2.0 * cos).sum(axis=-1)  # over parts
-    return loss if loss.ndim == 0 else loss.mean()
+    return (2.0 - 2.0 * cos).sum(axis=-1).mean()  # sum over parts, mean over the batch
 
 
 def variance_loss(batch, epsilon: float = 1e-4) -> Tensor:

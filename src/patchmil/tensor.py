@@ -3,10 +3,11 @@
 A Tensor wraps a numpy array and, when it participates in a graph rooted at
 tensors with ``requires_grad=True``, records enough information to run
 backpropagation from a scalar output. The kernel set is deliberately small:
-matmul, conv2d (unfold + matmul), elementwise arithmetic, ReLU/GELU/tanh/
-sigmoid/exp/log/sqrt/pow, axis reductions, softmax, l2_normalize, concat,
-roll, transpose/reshape/slicing. A constant operand of a binary op is not a
-parent of the op's tape node and gets no gradient.
+matmul (of operands with 2 or more dims), conv2d (unfold + matmul),
+elementwise arithmetic, ReLU/GELU/tanh/sigmoid/exp/log/sqrt/pow, axis
+reductions, softmax, l2_normalize, concat, roll, transpose/reshape/slicing.
+A constant operand of a binary op is not a parent of the op's tape node and
+gets no gradient.
 
 `no_grad()` switches the tape off for forward-only passes. `Adam` is the one
 optimizer of every training loop. `check_gradient` compares a backward pass
@@ -259,7 +260,7 @@ def parameter(data, requires_grad: bool = True) -> Tensor:
 
 
 class Adam:
-    """Adam (betas 0.9, 0.999) with bias correction and L2 weight decay; lr is passed per step.
+    """Adam (betas 0.9, 0.999, eps 1e-8), bias correction, L2 weight decay; lr is passed per step.
 
     The conv stack conditions the gradient badly at this scale (bias terms
     receive most of the raw gradient), so per-parameter step normalization is
@@ -273,13 +274,12 @@ class Adam:
     one pass of vector ops, in the per-parameter formula's order of operations.
     """
 
-    def __init__(self, params: dict, eps: float = 1e-8, weight_decay: float = 1e-4):
+    def __init__(self, params: dict, weight_decay: float = 1e-4):
         dtypes = sorted({p.data.dtype.name for p in params.values()})
         if len(dtypes) > 1:
             raise ContractViolation(f"Adam needs parameters of one dtype, got {', '.join(dtypes)}")
         self.params = params
-        self.b1, self.b2 = 0.9, 0.999
-        self.eps = eps
+        self.b1, self.b2, self.eps = 0.9, 0.999, 1e-8
         self.weight_decay = weight_decay
         self.t = 0
         total = sum(p.size for p in params.values())
@@ -679,29 +679,15 @@ def pad2d(a, pad: int) -> Tensor:
 
 
 def matmul(a, b) -> Tensor:
+    """Batched matrix product of (..., n, k) and (..., k, m) operands, broadcast like numpy."""
     a, b = as_tensor(a), as_tensor(b)
-    if a.ndim < 1 or b.ndim < 1:
-        raise ContractViolation(f"matmul needs >=1-d operands, got {a.shape} @ {b.shape}")
-    if a.shape[-1] != b.shape[-2 if b.ndim > 1 else 0]:
+    if a.ndim < 2 or b.ndim < 2:
+        raise ContractViolation(f"matmul needs >=2-d operands, got {a.shape} @ {b.shape}")
+    if a.shape[-1] != b.shape[-2]:
         raise ContractViolation(f"matmul shape mismatch: {a.shape} @ {b.shape}")
-    data = np.matmul(a.data, b.data)
-    a1, b1 = a.ndim == 1, b.ndim == 1
-
-    def g_matrix(g):  # the output gradient with a vector operand's axis put back
-        g = np.asarray(g)
-        if b1:
-            g = g[..., None]
-        return g[..., None, :] if a1 else g
-
-    def grad_a(g):
-        ga = np.matmul(g_matrix(g), np.swapaxes(b.data[:, None] if b1 else b.data, -1, -2))
-        return _unbroadcast(ga[..., 0, :] if a1 else ga, a.shape)
-
-    def grad_b(g):
-        gb = np.matmul(np.swapaxes(a.data[None, :] if a1 else a.data, -1, -2), g_matrix(g))
-        return _unbroadcast(gb[..., 0] if b1 else gb, b.shape)
-
-    return _binary(data, a, b, "matmul", grad_a, grad_b)
+    return _binary(np.matmul(a.data, b.data), a, b, "matmul",
+                   lambda g: _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape),
+                   lambda g: _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.shape))
 
 
 def unfold(a, kernel: int, stride: int = 1, pad: int = 0) -> Tensor:

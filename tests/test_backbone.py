@@ -104,17 +104,17 @@ class TestEmbedPatch:
 class TestGlobalEmbed:
     def test_constant_map_equals_head_of_constant(self):
         _, student, _ = make()
-        v = np.random.default_rng(5).uniform(size=128)
-        m = T.Tensor(np.broadcast_to(v, (4, 4, 128)).copy())
+        v = np.random.default_rng(5).uniform(size=(1, 128))
+        m = T.Tensor(np.broadcast_to(v[:, None, None], (1, 4, 4, 128)).copy())
         out = B.global_embed(m, student)
         direct = B._mlp(T.Tensor(v), student, "g_sg")
         np.testing.assert_allclose(out.data, direct.data, atol=1e-12)
 
     def test_identity_heads_truncate_gap(self):
         heads = identity_heads(CFG)
-        m = T.Tensor(np.abs(np.random.default_rng(6).normal(size=(4, 4, 128))))
+        m = T.Tensor(np.abs(np.random.default_rng(6).normal(size=(1, 4, 4, 128))))
         out = B.global_embed(m, heads)
-        np.testing.assert_allclose(out.data, B.gap(m).data[:64], atol=1e-12)
+        np.testing.assert_allclose(out.data, B.gap(m).data[:, :64], atol=1e-12)
 
     def test_teacher_path_tracks_no_gradients(self):
         params, _, teacher = make()

@@ -2,7 +2,10 @@
 
 import csv
 import json
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -456,6 +459,33 @@ class TestMIL:
         pgm = (out / "bag0000_attention.pgm").read_text().splitlines()
         assert pgm[0] == "P2" and pgm[2] == "255"
 
+    def test_export_attention_limit_embeds_only_the_blocks_it_exports(
+        self, corpus, mil_run, tmp_path, monkeypatch
+    ):
+        read = []
+        read_images = D.read_images
+
+        def counting(corpus_dir, records):
+            read.append(len(records))
+            return read_images(corpus_dir, records)
+
+        monkeypatch.setattr(D, "read_images", counting)
+        monkeypatch.setattr(P, "fork_map", lambda fn, items: [fn(item) for item in items])
+        monkeypatch.setattr(P, "EMBED_CHUNK", 2)  # one patch per 32-pixel image: 2-image blocks
+        images_read = {}
+        for limit in ("2", "3", "16"):
+            read.clear()
+            argv = ["export-attention", "--corpus", str(corpus), "--mil-run", str(mil_run),
+                    "--out", str(tmp_path / limit), "--split", "test", "--limit", limit]
+            assert main(argv) == 0
+            images_read[limit] = sum(read)
+        # whole blocks of the 7 test images: 3 exported images need 2 blocks
+        assert images_read == {"2": 2, "3": 4, "16": 7}
+        names = sorted(p.name for p in (tmp_path / "2").iterdir())
+        assert len(names) == 6 and len(list((tmp_path / "16").iterdir())) == 21
+        for name in names:
+            assert (tmp_path / "2" / name).read_bytes() == (tmp_path / "16" / name).read_bytes()
+
     @pytest.mark.parametrize("limit", ["0", "-1"])
     def test_export_attention_limit_below_one_is_usage_error(
         self, corpus, mil_run, tmp_path, capsys, monkeypatch, limit
@@ -556,6 +586,46 @@ class TestMIL:
     def test_finetune_batch_larger_than_train_split(self, corpus, pretrain_run, tmp_path, capsys):
         assert self._finetune(corpus, pretrain_run, tmp_path / "ft", 32) == 2
         assert "exceeds the 14 training images" in capsys.readouterr().err
+
+
+# Runs the CLI with the epoch loop ending the process after its second epoch's record.
+DIES_AFTER_TWO_EPOCHS = """
+import os, sys
+from patchmil import mil
+from patchmil.cli import main
+
+def dying(progress):
+    def log(record):
+        progress(record)
+        if record["epoch"] == 1:
+            os._exit(3)
+    return log
+
+train_epochs = mil.train_epochs
+mil.train_epochs = lambda *args: train_epochs(*args[:-1], dying(args[-1]))
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+class TestKilledRun:
+    @pytest.mark.parametrize("flags", [[], ["--finetune", "--batch-size", "8"]])
+    def test_history_parses_to_the_last_epoch(self, corpus, pretrain_run, tmp_path, flags):
+        run = tmp_path / "run"
+        argv = ["train-mil", "--corpus", str(corpus), "--checkpoint",
+                str(pretrain_run / "checkpoint"), "--out", str(run), "--epochs", "4", *flags]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        proc = subprocess.Popen([sys.executable, "-c", DIES_AFTER_TWO_EPOCHS, *argv], env=env,
+                                start_new_session=True, stderr=subprocess.PIPE, text=True)
+        try:
+            _, err = proc.communicate(timeout=300)
+        finally:
+            proc.kill()
+        assert proc.returncode == 3, err
+        assert not (run / "config.json").exists()
+        with open(run / "history.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [row["epoch"] for row in rows] == ["0", "1"]
+        assert all(row["loss"] and row["val_acc"] for row in rows)
 
 
 @pytest.fixture(scope="module")

@@ -30,6 +30,11 @@ def random_bag(cfg=CFG, i=5, seed=1, label=0):
     return M.Bag(rng.normal(size=(i, cfg.feature_dim)), pos, label)
 
 
+def refine_bag(instances, positions, params, cfg=CFG):
+    """msa_refine of one bag as a batch of one: (I, C) instances in, (I, C) out."""
+    return M.msa_refine(T.as_tensor(instances)[None], np.asarray(positions)[None], params, cfg)[0]
+
+
 class TestBagType:
     def test_empty_bag_rejected(self):
         with pytest.raises(ContractViolation):
@@ -48,7 +53,7 @@ class TestMsaRefine:
         params["msa0_mlp2_w"].data[...] = 0.0
         params["msa0_mlp2_b"].data[...] = 0.0
         bag = random_bag(i=1)
-        out = M.msa_refine(bag.instances, bag.positions, params, CFG)
+        out = refine_bag(bag.instances, bag.positions, params, CFG)
         np.testing.assert_allclose(out.numpy(), bag.instances, atol=1e-12)
 
     def test_single_instance_zero_ffn_adds_value_path(self):
@@ -56,7 +61,7 @@ class TestMsaRefine:
         params["msa0_mlp2_w"].data[...] = 0.0
         params["msa0_mlp2_b"].data[...] = 0.0
         bag = random_bag(i=1)
-        out = M.msa_refine(bag.instances, bag.positions, params, CFG)
+        out = refine_bag(bag.instances, bag.positions, params, CFG)
         # single token: attention weight is exactly 1, so out = z + proj(v)
         assert not np.allclose(out.numpy(), bag.instances)
 
@@ -66,7 +71,7 @@ class TestMsaRefine:
         z = np.random.default_rng(2).normal(size=16)
         inst = np.stack([z, z])
         pos = np.array([[0, 0], [0, 5]])
-        out = M.msa_refine(inst, pos, params, CFG).numpy()
+        out = refine_bag(inst, pos, params, CFG).numpy()
         np.testing.assert_allclose(out[0], out[1], atol=1e-12)
 
     def test_permutation_equivariance(self):
@@ -76,8 +81,8 @@ class TestMsaRefine:
         )
         bag = random_bag(i=6, seed=4)
         perm = np.random.default_rng(5).permutation(6)
-        out = M.msa_refine(bag.instances, bag.positions, params, CFG).numpy()
-        out_p = M.msa_refine(bag.instances[perm], bag.positions[perm], params, CFG).numpy()
+        out = refine_bag(bag.instances, bag.positions, params, CFG).numpy()
+        out_p = refine_bag(bag.instances[perm], bag.positions[perm], params, CFG).numpy()
         np.testing.assert_allclose(out_p, out[perm], atol=1e-9)
 
     def test_not_invariant_when_positions_fixed(self):
@@ -89,23 +94,23 @@ class TestMsaRefine:
         )
         bag = random_bag(i=6, seed=7)
         shuffled = bag.positions[::-1].copy()
-        out = M.msa_refine(bag.instances, bag.positions, params, CFG).numpy()
-        out_s = M.msa_refine(bag.instances, shuffled, params, CFG).numpy()
+        out = refine_bag(bag.instances, bag.positions, params, CFG).numpy()
+        out_s = refine_bag(bag.instances, shuffled, params, CFG).numpy()
         assert np.abs(out - out_s).max() > 1e-3
 
     def test_zero_bias_table_ignores_positions(self):
         params = make_params()
         params["msa0_bias"].data[...] = 0.0
         bag = random_bag(i=6, seed=8)
-        out = M.msa_refine(bag.instances, bag.positions, params, CFG).numpy()
-        out_s = M.msa_refine(bag.instances, bag.positions[::-1].copy(), params, CFG).numpy()
+        out = refine_bag(bag.instances, bag.positions, params, CFG).numpy()
+        out_s = refine_bag(bag.instances, bag.positions[::-1].copy(), params, CFG).numpy()
         np.testing.assert_allclose(out, out_s, atol=1e-12)
 
     def test_positions_outside_radius_clip(self):
         params = make_params()
         bag = M.Bag(np.random.default_rng(9).normal(size=(2, 16)),
                     np.array([[0, 0], [0, 500]]), 0)
-        out = M.msa_refine(bag.instances, bag.positions, params, CFG)
+        out = refine_bag(bag.instances, bag.positions, params, CFG)
         assert np.isfinite(out.numpy()).all()
 
 
@@ -218,12 +223,12 @@ class TestClassifyBag:
         rng = np.random.default_rng(22)
         logits = rng.normal(size=7)
         label = 3
-        leaf = T.parameter(logits)
-        M.cross_entropy(leaf, label).backward()
+        leaf = T.parameter(logits[None])
+        M.cross_entropy(leaf, [label]).backward()
         e = np.exp(logits - logits.max())
         soft = e / e.sum()
         onehot = np.eye(7)[label]
-        np.testing.assert_allclose(leaf.grad, soft - onehot, atol=1e-5)
+        np.testing.assert_allclose(leaf.grad[0], soft - onehot, atol=1e-5)
 
     def test_gradient_check_through_full_head(self):
         params = make_params()
@@ -234,11 +239,23 @@ class TestClassifyBag:
                 trial = dict(params)
                 trial[name] = t
                 return M.cross_entropy(
-                    M.bag_logits(bag.instances, bag.positions, trial, CFG), bag.label
+                    M.bag_logits(bag.instances[None], bag.positions[None], trial, CFG), [bag.label]
                 )
 
             err = T.check_gradient(loss, params[name].data, step=1e-5)
             assert err < 1e-6, f"{name}: {err}"
+
+
+class TestOneBatchedShape:
+    @pytest.mark.parametrize("fn", [M.msa_refine, M.bag_logits])
+    def test_unbatched_instances_raise_naming_the_batched_shape(self, fn):
+        bag = random_bag(i=4, seed=29)
+        with pytest.raises(ContractViolation, match=r"\(B, I, C\) instances, got \(4, 16\)"):
+            fn(bag.instances, bag.positions, make_params(), CFG)
+
+    def test_cross_entropy_of_a_logit_vector_raises(self):
+        with pytest.raises(ContractViolation, match=r"\(B, K\) logits, got \(7,\)"):
+            M.cross_entropy(T.Tensor(np.zeros(7)), 3)
 
 
 DEEP = M.MILConfig(feature_dim=16, heads=2, n_classes=7, bias_radius=3, depth=2)
@@ -264,14 +281,14 @@ class TestDepthTwo:
             def loss(t):
                 trial = dict(params)
                 trial[name] = t
-                return (M.msa_refine(bag.instances, bag.positions, trial, DEEP) ** 2).sum()
+                return (refine_bag(bag.instances, bag.positions, trial, DEEP) ** 2).sum()
             return loss
 
         for name in ("msa0_qkv_w", "msa0_bias", "msa1_qkv_w", "msa1_mlp1_w", "msa1_bias"):
             err = T.check_gradient(refined(name), params[name].data, step=1e-5)
             assert err < 1e-6, f"{name}: {err}"
         err = T.check_gradient(
-            lambda t: (M.msa_refine(t, bag.positions, params, DEEP) ** 2).sum(), bag.instances,
+            lambda t: (refine_bag(t, bag.positions, params, DEEP) ** 2).sum(), bag.instances,
             step=1e-5,
         )
         assert err < 1e-6, f"instances: {err}"
@@ -394,7 +411,7 @@ class TestTrainMil:
         assert preds.tobytes() == np.concatenate(taped).tobytes()
         one = M.classify_bag(bags[-1], params, cfg)
         assert outputs[-1]._backward is None
-        ref = bag_logits(bags[-1].instances, bags[-1].positions, params, cfg)
+        ref = bag_logits(bags[-1].instances[None], bags[-1].positions[None], params, cfg)
         assert one.tobytes() == ref.numpy().tobytes()
 
     def test_attention_report_shapes(self):

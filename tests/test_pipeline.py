@@ -93,10 +93,12 @@ def same_bytes(a, b):
 
 
 class TestEmbedding:
-    def test_embed_patches_shape_and_chunk_equivalence(self, params):
+    def test_embed_patches_shape_and_chunk_equivalence(self, params, monkeypatch):
         patches = np.random.default_rng(1).uniform(size=(5, 16, 16, 3))
-        full = P.embed_patches(patches, params, ARCH, chunk=256)
-        chunked = P.embed_patches(patches, params, ARCH, chunk=2)
+        monkeypatch.setattr(P, "EMBED_CHUNK", 256)
+        full = P.embed_patches(patches, params, ARCH)
+        monkeypatch.setattr(P, "EMBED_CHUNK", 2)
+        chunked = P.embed_patches(patches, params, ARCH)
         assert full.shape == (5, ARCH.feature_dim)
         np.testing.assert_allclose(full, chunked, rtol=0, atol=1e-6)
 

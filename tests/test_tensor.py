@@ -54,6 +54,11 @@ class TestAnalyticOracles:
         with pytest.raises(ContractViolation):
             T.concat([a, b], axis=2)
 
+    @pytest.mark.parametrize("a,b", [((4,), (4, 5)), ((3, 4), (4,)), ((4,), (4,))])
+    def test_matmul_vector_operand_raises(self, a, b):
+        with pytest.raises(ContractViolation, match=">=2-d operands"):
+            T.Tensor(np.ones(a)) @ T.Tensor(np.ones(b))
+
     def test_gap_of_constant_map(self):
         m = T.Tensor(np.full((2, 2, 6), 7.0))
         np.testing.assert_allclose(m.mean(axis=(0, 1)).data, np.full(6, 7.0))
@@ -133,10 +138,11 @@ class TestGradientChecks:
         _check(lambda t: (t @ T.Tensor(w)).sum(), x)
         _check(lambda t: ((T.Tensor(x) @ t) ** 2).sum(), w)
 
-    def test_matmul_vector(self):
-        v = rng().normal(size=4)
-        m = rng().normal(size=(4, 4))
-        _check(lambda t: (t @ T.Tensor(m) @ T.Tensor(v)).sum(), v)
+    def test_matmul_broadcast_operand(self):
+        x = rng().normal(size=(2, 3, 4))
+        w = rng().normal(size=(4, 5))
+        _check(lambda t: ((t @ T.Tensor(w)) ** 2).sum(), x)
+        _check(lambda t: ((T.Tensor(x) @ t) ** 2).sum(), w)
 
     def test_reductions(self):
         x = rng().normal(size=(3, 4, 2))
@@ -149,12 +155,12 @@ class TestGradientChecks:
 
     def test_softmax(self):
         x = rng().normal(size=(3, 6))
-        w = np.asarray(rng().normal(size=6))
+        w = np.asarray(rng().normal(size=(6, 1)))
         _check(lambda t: (T.softmax(t, axis=1) @ T.Tensor(w)).sum(), x)
 
     def test_l2_normalize(self):
         x = rng().normal(size=(2, 5))
-        w = np.asarray(rng().normal(size=5))
+        w = np.asarray(rng().normal(size=(5, 1)))
         _check(lambda t: (T.l2_normalize(t, axis=1) @ T.Tensor(w)).sum(), x)
 
     def test_concat_take(self):
@@ -322,7 +328,7 @@ class TestAdam:
     def test_first_step_closed_form(self):
         params, grads = self.make()
         before = {k: p.data.copy() for k, p in params.items()}
-        T.Adam(params, eps=self.EPS, weight_decay=self.WD).step(self.LR)
+        T.Adam(params, weight_decay=self.WD).step(self.LR)
         for key, p in params.items():
             # at t = 1 bias correction gives m_hat = g' and sqrt(v_hat) = |g'|
             g = grads[key] + self.WD * before[key]
@@ -342,7 +348,7 @@ class TestAdam:
         np.testing.assert_array_equal(still.data, [1.0, -2.0])
         # with decay, wd * p is the whole gradient
         decayed = T.parameter([1.0, -2.0])
-        assert T.Adam({"p": decayed}, eps=self.EPS, weight_decay=self.WD).step(self.LR) == 0.0
+        assert T.Adam({"p": decayed}, weight_decay=self.WD).step(self.LR) == 0.0
         g = self.WD * np.array([1.0, -2.0])
         expected = np.array([1.0, -2.0]) - self.LR * g / (np.abs(g) + self.EPS)
         np.testing.assert_allclose(decayed.data, expected, rtol=1e-12)
