@@ -5,7 +5,7 @@ are concatenated channel-wise into one feature map. Projection heads `g_*`
 map pooled features into the embedding spaces used by the contrastive losses;
 prediction heads `p_*` sit on top of them on the student side only. The
 teacher is the student minus its prediction heads, under the same keys, and
-its parameters never require gradients.
+its parameters never require gradients. `multihead_attention` returns its map.
 """
 
 from __future__ import annotations
@@ -137,21 +137,6 @@ def _layernorm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     return centered * T.power(var + eps, -0.5) * gain + bias
 
 
-def _qkv(x: Tensor, params: dict, prefix: str, heads: int) -> Tensor:
-    """(B, T, C) tokens -> stacked (3, B, heads, T, dh) queries, keys, values."""
-    b, t, c = x.shape
-    qkv = _linear(x, params, f"{prefix}_qkv")  # (B, T, 3C)
-    return T.transpose(qkv.reshape(b, t, 3, heads, c // heads), (2, 0, 3, 1, 4))
-
-
-def attention_weights(q: Tensor, k: Tensor, bias: Tensor | None = None) -> Tensor:
-    """Row-softmax of scaled q.k logits plus an optional logit bias: (B, heads, T, T)."""
-    logits = (q @ T.swapaxes(k, -1, -2)) * (1.0 / math.sqrt(q.shape[-1]))
-    if bias is not None:
-        logits = logits + bias
-    return T.softmax(logits, axis=-1)
-
-
 def feed_forward(x: Tensor, params: dict, prefix: str) -> Tensor:
     """The MLP half of a block: x + mlp2(gelu(mlp1(ln2(x))))."""
     normed = _layernorm(x, params[f"{prefix}_ln2_g"], params[f"{prefix}_ln2_b"])
@@ -160,14 +145,18 @@ def feed_forward(x: Tensor, params: dict, prefix: str) -> Tensor:
 
 def multihead_attention(
     x: Tensor, params: dict, prefix: str, heads: int, bias: Tensor | None = None
-) -> Tensor:
-    """Standard MSA over (B, T, C) tokens; optional (heads, T, T) logit bias."""
+) -> tuple:
+    """MSA over (B, T, C) tokens, optional logit bias: (output, (B, heads, T, T) attention)."""
     b, t, c = x.shape
-    qkv = _qkv(x, params, prefix, heads)
-    attn = attention_weights(qkv[0], qkv[1], bias)
+    qkv = _linear(x, params, f"{prefix}_qkv")  # (B, T, 3C)
+    qkv = T.transpose(qkv.reshape(b, t, 3, heads, c // heads), (2, 0, 3, 1, 4))
+    logits = (qkv[0] @ T.swapaxes(qkv[1], -1, -2)) * (1.0 / math.sqrt(c // heads))
+    if bias is not None:
+        logits = logits + bias
+    attn = T.softmax(logits, axis=-1)
     mixed = attn @ qkv[2]  # (B, heads, T, dh)
     mixed = T.transpose(mixed, (0, 2, 1, 3)).reshape(b, t, c)
-    return _linear(mixed, params, f"{prefix}_proj")
+    return _linear(mixed, params, f"{prefix}_proj"), attn
 
 
 def _window_partition(x: Tensor, win: int) -> Tensor:
@@ -197,7 +186,7 @@ def _global_branch(x: Tensor, params: dict, cfg: ArchConfig) -> Tensor:
             t = T.roll(t, (-(win // 2), -(win // 2)), axis=(1, 2))
         normed = _layernorm(t, params[f"gb{blk}_ln1_g"], params[f"gb{blk}_ln1_b"])
         wins = _window_partition(normed, win)
-        attended = multihead_attention(wins, params, f"gb{blk}", cfg.heads)
+        attended = multihead_attention(wins, params, f"gb{blk}", cfg.heads)[0]  # map freed now
         attended = _window_merge(attended, win, n, h, w)
         t = feed_forward(t + attended, params, f"gb{blk}")
         if shifted:

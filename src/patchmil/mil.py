@@ -7,8 +7,9 @@ across instances per output coordinate. A linear classifier on the pooled bag
 vector is trained with cross-entropy. Max/mean/soft/gated-attention poolings
 are kept as ablation baselines. The head takes batches of bags, (B, I, C)
 instances; `classify_bag` and `attention_report` score one `Bag` as a batch
-of one. `train_epochs` is the one supervised epoch loop, for `train_mil` on
-frozen bags and for `pipeline.finetune_mil` end to end.
+of one, and `attention_report` exports the map `msa_refine` made.
+`train_epochs` is the one supervised epoch loop, for `train_mil` on frozen
+bags and for `pipeline.finetune_mil` end to end.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .backbone import (_layernorm, _linear, _linear_init, _qkv, attention_weights, block_init,
-                       feed_forward, multihead_attention)
+from .backbone import (_layernorm, _linear, _linear_init, block_init, feed_forward,
+                       multihead_attention)
 from .errors import ConfigError, ContractViolation
 from .tensor import Adam, Tensor
 
@@ -108,17 +109,19 @@ def _position_bias(positions: np.ndarray, params: dict, blk: int, cfg: MILConfig
     return T.transpose(table[:, idx], (1, 0, 2, 3))
 
 
-def msa_refine(instances, positions: np.ndarray, params: dict, cfg: MILConfig) -> Tensor:
-    """Contextual refinement of (B, I, C) instances at (B, I, 2) grid positions."""
+def msa_refine(instances, positions: np.ndarray, params: dict, cfg: MILConfig) -> tuple:
+    """Refine (B, I, C) instances at (B, I, 2) positions: (refined, each block's attention)."""
     x = T.as_tensor(instances)
     if x.ndim != 3:
         raise ContractViolation(f"MIL head needs (B, I, C) instances, got {x.shape}")
+    maps = []
     for blk in range(cfg.depth):
         bias = _position_bias(positions, params, blk, cfg)
-        normed = _layernorm(x, params[f"msa{blk}_ln1_g"], params[f"msa{blk}_ln1_b"])
-        x = x + multihead_attention(normed, params, f"msa{blk}", cfg.heads, bias=bias)
-        x = feed_forward(x, params, f"msa{blk}")
-    return x
+        h = _layernorm(x, params[f"msa{blk}_ln1_g"], params[f"msa{blk}_ln1_b"])
+        h, attn = multihead_attention(h, params, f"msa{blk}", cfg.heads, bias)  # frees the norm
+        maps.append(attn)
+        x = feed_forward(x + h, params, f"msa{blk}")
+    return x, maps
 
 
 def adaptive_pool(refined, params: dict, cfg: MILConfig, return_weights: bool = False):
@@ -154,7 +157,7 @@ def pool(refined, params: dict, cfg: MILConfig) -> Tensor:
 
 def bag_logits(instances, positions, params: dict, cfg: MILConfig) -> Tensor:
     """(B, K) class logits of (B, I, C) instances at (B, I, 2) grid positions."""
-    refined = msa_refine(instances, positions, params, cfg)
+    refined = msa_refine(instances, positions, params, cfg)[0]
     return _linear(pool(refined, params, cfg), params, "cls")
 
 
@@ -169,7 +172,7 @@ def cross_entropy(logits, labels) -> Tensor:
     z = T.as_tensor(logits)
     if z.ndim != 2:
         raise ContractViolation(f"cross_entropy needs (B, K) logits, got {z.shape}")
-    shifted = z - T.reduce_max(z, axis=-1, keepdims=True).detach()
+    shifted = z - z.data.max(axis=-1, keepdims=True)  # a constant: no gradient through the max
     log_norm = T.log(T.exp(shifted).sum(axis=-1))
     picked = shifted[np.arange(z.shape[0]), np.asarray(labels, dtype=np.int64)]
     return (log_norm - picked).mean()
@@ -270,14 +273,8 @@ def train_mil(train_bags, val_bags, cfg: MILConfig, progress=None):
 
 
 def attention_report(bag: Bag, params: dict, cfg: MILConfig):
-    """Adaptive-pool weights (I, C) and MSA attention maps (heads, I, I) for export."""
-    instances, positions = bag.instances[None], bag.positions[None]
+    """Adaptive-pool weights (I, C) and block 0's MSA attention (heads, I, I) for export."""
     with T.no_grad():
-        refined = msa_refine(instances, positions, params, cfg)
+        refined, maps = msa_refine(bag.instances[None], bag.positions[None], params, cfg)
         _, weights = adaptive_pool(refined, params, cfg, return_weights=True)
-        # block 0's attention: same layer norm, q/k and position bias as msa_refine
-        x = T.as_tensor(instances)
-        normed = _layernorm(x, params["msa0_ln1_g"], params["msa0_ln1_b"])
-        qkv = _qkv(normed, params, "msa0", cfg.heads)
-        bias = _position_bias(positions, params, 0, cfg)
-        return weights.numpy()[0], attention_weights(qkv[0], qkv[1], bias).numpy()[0]
+    return weights.numpy()[0], maps[0].numpy()[0]

@@ -7,11 +7,13 @@ it comes. The function reaches the children through a module global set
 before they are forked, so a closure needs no pickling and every child
 starts with the parent's state (its `tensor.default_dtype`, say); only the
 items and results are pickled. Both need the `fork` start method, and a
-child may run a map of its own.
+child may run a map of its own. On Linux a child ends when the process that
+made its pool does, even one that dies without shutting the pool down.
 """
 
 from __future__ import annotations
 
+import ctypes
 import multiprocessing as mp
 import os
 import signal
@@ -30,6 +32,18 @@ def _call(item):
     return _FN(item)
 
 
+def _child_init(creator: int) -> None:
+    """Set up a pool child: ignore Ctrl-C, and end when the pool's creator ends."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    prctl = getattr(ctypes.CDLL(None), "prctl", None)  # Linux only
+    if prctl is not None:
+        prctl.argtypes = (ctypes.c_int,) + (ctypes.c_ulong,) * 4
+        prctl.restype = ctypes.c_int
+        prctl(1, signal.SIGKILL, 0, 0, 0)  # 1: PR_SET_PDEATHSIG, from <linux/prctl.h>
+    if os.getppid() != creator:  # the creator ended before prctl took effect
+        os._exit(1)
+
+
 @contextmanager
 def _pool(fn, workers: int):
     """A pool of `workers` forked children that call `fn`, all joined on exit.
@@ -43,7 +57,7 @@ def _pool(fn, workers: int):
     # children fork at the first submit, so they see _FN; on Ctrl-C the caller
     # stops the pool, and a child finishes the item it has
     pool = ProcessPoolExecutor(workers, mp_context=mp.get_context("fork"),
-                               initializer=signal.signal, initargs=(signal.SIGINT, signal.SIG_IGN))
+                               initializer=_child_init, initargs=(os.getpid(),))
     try:
         yield pool
     except BrokenProcessPool as exc:

@@ -4,9 +4,9 @@ A student branch (encoder + projection and prediction heads) is trained
 against a momentum teacher on two augmented views of each patch. The teacher
 is the student without its prediction heads `p_*`: the same encoder and
 projection-head keys, updated as an exponential moving average of the
-student. The objective combines a global cosine loss, a per-part cosine loss,
-and variance/covariance regularizers that keep the embedding batch from
-collapsing.
+student. The objective combines a global and a per-part cosine loss (both
+2 - 2 cos of matching rows, computed in one place) and variance/covariance
+regularizers that keep the embedding batch from collapsing.
 
 Augmentation is split in two: `draw_view` draws a view's parameters (no
 draw depends on the pixels) and `apply_view` turns them into pixels. The
@@ -71,8 +71,8 @@ class SSLConfig:
             raise ConfigError(f"unknown loss terms {sorted(unknown)}")
         if "global" not in self.loss_terms:
             raise ConfigError("the global cosine term cannot be toggled off")
-        if self.batch_size < 1:
-            raise ConfigError(f"batch size must be at least 1, got {self.batch_size}")
+        if self.batch_size < 2:  # pretrain_step needs 2 view pairs; batches of 1 take no step
+            raise ConfigError(f"batch size must be at least 2, got {self.batch_size}")
         if self.epochs < 0:
             raise ConfigError(f"epochs must be at least 0, got {self.epochs}")
 
@@ -167,25 +167,27 @@ def augment(patch: np.ndarray, rng: np.random.Generator) -> tuple:
 # ---------------------------------------------------------------------------
 
 
+def _cosine_distance(z_s: Tensor, z_t: Tensor) -> Tensor:
+    """2 - 2 cos of matching rows of two same-shaped (..., D) embeddings."""
+    if z_s.shape != z_t.shape:
+        raise ContractViolation(f"embedding shapes differ: {z_s.shape} vs {z_t.shape}")
+    return 2.0 - 2.0 * (T.l2_normalize(z_s, axis=-1) * T.l2_normalize(z_t, axis=-1)).sum(axis=-1)
+
+
 def global_loss(z_s, z_t) -> Tensor:
     """Cosine distance 2 - 2 cos(z_s, z_t) of (N, D) rows, averaged over the batch."""
-    z_s, z_t = T.as_tensor(z_s), T.as_tensor(z_t)
-    cos = (T.l2_normalize(z_s, axis=-1) * T.l2_normalize(z_t, axis=-1)).sum(axis=-1)
-    return (2.0 - 2.0 * cos).mean()
+    return _cosine_distance(T.as_tensor(z_s), T.as_tensor(z_t)).mean()
 
 
 def parts_loss(z_s, z_t) -> Tensor:
     """Sum over parts of the cosine distance between matching part rows."""
     z_s, z_t = T.as_tensor(z_s), T.as_tensor(z_t)
-    if z_s.shape != z_t.shape:
-        raise ContractViolation(f"part shapes differ: {z_s.shape} vs {z_t.shape}")
     for name, z in (("student", z_s), ("teacher", z_t)):
         norms = np.linalg.norm(z.data, axis=-1)
         if np.any(norms == 0):
             k = int(np.argwhere(norms == 0)[0][-1])
             raise NumericError(f"zero-norm {name} part row k={k}")
-    cos = (T.l2_normalize(z_s, axis=-1) * T.l2_normalize(z_t, axis=-1)).sum(axis=-1)
-    return (2.0 - 2.0 * cos).sum(axis=-1).mean()  # sum over parts, mean over the batch
+    return _cosine_distance(z_s, z_t).sum(axis=-1).mean()  # sum over parts, mean over the batch
 
 
 def variance_loss(batch, epsilon: float = 1e-4) -> Tensor:
@@ -386,8 +388,8 @@ def pretrain(patches: np.ndarray, cfg: SSLConfig, progress=None) -> SSLState:
     cfg.validate()
     state = SSLState(cfg)
     n = patches.shape[0]
-    total_steps = cfg.epochs * max(1, n // cfg.batch_size)
     per_epoch = len(_epoch_batches(n, cfg.batch_size))
+    total_steps = cfg.epochs * per_epoch
     drawn = _drawn_batches(n, patches.shape[1], cfg)
     with closing(fork_imap(lambda batch: _views(patches, batch), drawn, PREFETCH)) as batches:
         for k, (views_s, views_t) in enumerate(batches):

@@ -115,9 +115,6 @@ class Tensor:
     def numpy(self) -> np.ndarray:
         return self.data
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
-
     def __repr__(self):
         return f"Tensor(shape={self.shape}, op={self._op}, requires_grad={self.requires_grad})"
 
@@ -461,8 +458,8 @@ def tanh(a) -> Tensor:
 def sigmoid(a) -> Tensor:
     a = as_tensor(a)
     # exp of a negative magnitude on both branches avoids overflow
-    x = a.data
-    data = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))), np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+    e = np.exp(-np.abs(a.data))
+    data = np.where(a.data >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
     def backward(g):
         return (g * data * (1.0 - data),)
@@ -555,10 +552,10 @@ def softmax(a, axis: int = -1) -> Tensor:
 def l2_normalize(a, axis: int = -1) -> Tensor:
     """x / ||x||_2 along `axis`. Raises NumericError on a zero-norm slice."""
     a = as_tensor(a)
-    sq = (a.data * a.data).sum(axis=axis, keepdims=True)
-    if np.any(sq == 0.0):
+    sq = reduce_sum(a * a, axis=axis, keepdims=True)
+    if np.any(sq.data == 0.0):
         raise NumericError("l2_normalize received a zero-norm input")
-    return a * power(reduce_sum(a * a, axis=axis, keepdims=True), -0.5)
+    return a * power(sq, -0.5)
 
 
 # ---------------------------------------------------------------------------

@@ -130,7 +130,7 @@ class TestUsageErrors:
     @pytest.mark.parametrize("command", ["pretrain", "train-mil", "ablate"])
     @pytest.mark.parametrize(
         "flag, value, says",
-        [("--batch-size", "0", "batch size must be at least 1"),
+        [("--batch-size", "0", "batch size must be at least {min_batch}"),
          ("--epochs", "-1", "epochs must be at least 0")],
         ids=["batch-size-0", "epochs-negative"],
     )
@@ -142,8 +142,16 @@ class TestUsageErrors:
         if command == "train-mil":
             argv += ["--checkpoint", str(pretrain_run / "checkpoint")]
         assert main(argv) == 2
+        says = says.format(min_batch=1 if command == "train-mil" else 2)  # SSL needs pairs
         assert capsys.readouterr().err.startswith(f"usage error: {says}")
         assert not run.exists()
+
+    @pytest.mark.parametrize("command", ["pretrain", "ablate"])
+    def test_ssl_batch_of_one_is_usage_error(self, corpus, tmp_path, capsys, command):
+        run = tmp_path / "r"
+        assert main([command, "--corpus", str(corpus), "--out", str(run), "--batch-size", "1"]) == 2
+        assert capsys.readouterr().err.startswith("usage error: batch size must be at least 2")
+        assert not run.exists()  # no config.json marks a finished run
 
     @pytest.mark.parametrize(
         "command, key, value, says",

@@ -32,7 +32,8 @@ def random_bag(cfg=CFG, i=5, seed=1, label=0):
 
 def refine_bag(instances, positions, params, cfg=CFG):
     """msa_refine of one bag as a batch of one: (I, C) instances in, (I, C) out."""
-    return M.msa_refine(T.as_tensor(instances)[None], np.asarray(positions)[None], params, cfg)[0]
+    refined, _ = M.msa_refine(T.as_tensor(instances)[None], np.asarray(positions)[None], params, cfg)
+    return refined[0]
 
 
 class TestBagType:
@@ -292,6 +293,30 @@ class TestDepthTwo:
             step=1e-5,
         )
         assert err < 1e-6, f"instances: {err}"
+
+    def test_attention_report_reads_the_map_msa_refine_made(self, monkeypatch):
+        params = make_params(DEEP)
+        rng = np.random.default_rng(30)
+        for b in range(2):
+            params[f"msa{b}_bias"].data[...] = rng.normal(size=params[f"msa{b}_bias"].shape)
+        bag = random_bag(DEEP, i=5, seed=31)
+        with T.no_grad():
+            refined, maps = M.msa_refine(bag.instances[None], bag.positions[None], params, DEEP)
+            _, weights = M.adaptive_pool(refined, params, DEEP, return_weights=True)
+        calls = []
+        softmax = T.softmax
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].shape)
+            return softmax(*args, **kwargs)
+
+        monkeypatch.setattr(T, "softmax", counted)
+        report_weights, attn = M.attention_report(bag, params, DEEP)
+        # one softmax per block and one for the pool: block 0's map is not made again
+        assert len(calls) == DEEP.depth + 1
+        assert attn.tobytes() == maps[0].numpy()[0].tobytes()
+        assert report_weights.tobytes() == weights.numpy()[0].tobytes()
+        assert not np.array_equal(maps[0].numpy(), maps[1].numpy())
 
     def test_train_mil_trains_both_blocks(self):
         cfg = dataclasses.replace(DEEP, epochs=3, batch_size=8, seed=7)

@@ -1,5 +1,5 @@
 """The ordered fork-pool maps: order, window, inherited state, errors, dead workers,
-nested maps, no leftovers."""
+nested maps, no leftovers, no orphans."""
 
 import multiprocessing
 import os
@@ -195,3 +195,34 @@ def test_ctrl_c_stops_the_caller_and_no_child_writes_a_traceback():
     assert err.count("Traceback") == 1 and err.rstrip().endswith("KeyboardInterrupt")
     with pytest.raises(ProcessLookupError):  # no child is left in the group
         os.killpg(proc.pid, 0)
+
+
+def test_children_end_when_the_caller_dies_without_shutting_its_pool(tmp_path):
+    code = (
+        "import os, time\n"
+        "from patchmil.parallel import fork_imap\n"
+        "for r in fork_imap(lambda i: time.sleep(0.01) or i, range(10**6), 2):\n"
+        "    if r == 3:\n"
+        "        os._exit(3)  # no pool shutdown, no join\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    # a file, not a pipe: an orphaned child holding the pipe would block a reader
+    with open(tmp_path / "out.txt", "w") as out:
+        proc = subprocess.Popen([sys.executable, "-c", code], env=env, start_new_session=True,
+                                stdout=out, stderr=out)
+    try:
+        assert proc.wait(timeout=30) == 3
+        deadline = time.monotonic() + 5
+        while time.monotonic() < deadline:
+            try:
+                os.killpg(proc.pid, 0)
+            except ProcessLookupError:
+                break  # no child is left in the group
+            time.sleep(0.05)
+        else:
+            pytest.fail("pool children outlived their caller by 5 s")
+    finally:
+        try:
+            os.killpg(proc.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass

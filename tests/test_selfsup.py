@@ -109,6 +109,11 @@ class TestGlobalLoss:
         with pytest.raises(NumericError):
             S.global_loss(np.zeros(4), np.ones(4))
 
+    def test_rows_against_one_row_raises(self):
+        rng = np.random.default_rng(4)
+        with pytest.raises(ContractViolation, match=r"\(4, 3\) vs \(1, 3\)"):
+            S.global_loss(rng.normal(size=(4, 3)), rng.normal(size=(1, 3)))
+
     def test_range_on_random_inputs(self):
         rng = np.random.default_rng(3)
         for _ in range(1000):
@@ -412,6 +417,11 @@ class TestPretrainStep:
             views_t = rng.uniform(size=(4, 16, 16, 3))
             report = S.pretrain_step(views_s, views_t, state, lr=0.05)
             assert np.isfinite(report["all"])
+
+    @pytest.mark.parametrize("batch_size", [0, 1])
+    def test_batch_below_two_is_config_error(self, batch_size):
+        with pytest.raises(ConfigError, match=f"at least 2, got {batch_size}"):
+            S.SSLConfig(arch=SMALL_ARCH, batch_size=batch_size).validate()
 
     def test_toggle_validation(self):
         with pytest.raises(ConfigError):
