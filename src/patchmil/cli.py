@@ -168,10 +168,23 @@ def _arch_from_meta(meta: dict, checkpoint) -> bb.ArchConfig:
     return bb.ArchConfig(**dict(fields, local_channels=tuple(fields["local_channels"])))
 
 
+def _checked_group(groups: dict, name: str, reference: dict, checkpoint) -> dict:
+    """groups[name], or a FormatError if its tensor names and shapes differ from `reference`'s."""
+    group = _checkpoint_item(groups, name, "group", checkpoint)
+    for key in sorted(set(group) | set(reference)):
+        have = f"shape {group[key].shape}" if key in group else "no tensor"
+        want = f"shape {reference[key].shape}" if key in reference else "no tensor"
+        if have != want:
+            raise FormatError(f"checkpoint {checkpoint} group {name!r} has {have} for {key!r}; "
+                              f"its config gives {want}")
+    return group
+
+
 def _load_backbone(checkpoint: str):
     groups, meta = D.load_checkpoint(checkpoint)
-    return (_checkpoint_item(groups, "student", "group", checkpoint),
-            _arch_from_meta(meta, checkpoint))
+    arch = _arch_from_meta(meta, checkpoint)
+    reference = bb.init_backbone(np.random.default_rng(0), arch)
+    return _checked_group(groups, "student", reference, checkpoint), arch
 
 
 def cmd_linear_probe(args) -> int:
@@ -249,15 +262,18 @@ def _load_mil_run(run_dir: str):
     groups, meta = D.load_checkpoint(checkpoint)
     arch = _arch_from_meta(meta, checkpoint)
     mil_cfg = ML.MILConfig(**_meta_fields(ML.MILConfig, meta, "mil", checkpoint))
-    mil_params = _checkpoint_item(groups, "mil", "group", checkpoint)
+    rng = np.random.default_rng(0)  # the references' shapes do not depend on its draws
+    mil_params = _checked_group(groups, "mil", ML.init_mil(rng, mil_cfg), checkpoint)
     if "student" in groups:  # fine-tuned runs carry their own encoder
-        backbone_params = groups["student"]
+        backbone_params = _checked_group(groups, "student", bb.init_backbone(rng, arch), checkpoint)
     else:
         source = _checkpoint_item(meta, "backbone_checkpoint", "meta key", checkpoint)
         backbone_params, _ = _load_backbone(source)
     norm = None
     if "norm" in groups:
-        norm = (groups["norm"]["mu"].data, groups["norm"]["sd"].data)
+        zeros = np.zeros(arch.feature_dim)
+        stats = _checked_group(groups, "norm", {"mu": zeros, "sd": zeros}, checkpoint)
+        norm = (stats["mu"].data, stats["sd"].data)
     return mil_params, mil_cfg, backbone_params, arch, norm
 
 
@@ -328,16 +344,9 @@ def cmd_export_attention(args) -> int:
         with open(out / f"bag{i:04d}_msa_attention.csv", "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["head", "query", "key", "weight"])
-            for h in range(attn.shape[0]):
-                for qi in range(attn.shape[1]):
-                    for ki in range(attn.shape[2]):
-                        writer.writerow([h, qi, ki, f"{attn[h, qi, ki]:.8f}"])
-        rows = bag.positions[:, 0].max() + 1
-        cols = bag.positions[:, 1].max() + 1
-        grid = np.zeros((rows, cols))
-        mean_w = weights.mean(axis=1)
-        for w, (r, c) in zip(mean_w, bag.positions):
-            grid[r, c] = w
+            writer.writerows([*hqk, f"{attn[hqk]:.8f}"] for hqk in np.ndindex(attn.shape))
+        grid = np.zeros(bag.positions.max(axis=0) + 1)
+        grid[bag.positions[:, 0], bag.positions[:, 1]] = weights.mean(axis=1)
         _write_pgm(out / f"bag{i:04d}_attention.pgm", grid)
     print(f"exported attention for {len(bags)} bags to {out}")
     return 0

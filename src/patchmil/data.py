@@ -28,6 +28,8 @@ from .parallel import fork_map
 
 MAGIC = b"FPTC0001"
 FORMAT_VERSION = 1
+# the dtype names `write_tensor` writes for bool, integer and float arrays
+NUMERIC_DTYPES = tuple(sorted({np.dtype(c).name for c in "?efdg" + np.typecodes["AllInteger"]}))
 
 CLASS_NAMES = ("brain", "heart", "kidney", "liver", "lung", "pancreas", "spleen")
 SPLITS = ("train", "val", "test")
@@ -70,8 +72,16 @@ def _read_header(fh, path) -> dict:
         header = json.loads(blob.decode("utf-8"))
     except ValueError as exc:
         raise FormatError(f"unparseable header in {path}: {exc}") from exc
+    if not isinstance(header, dict):
+        raise FormatError(f"header in {path} is a JSON {type(header).__name__}, not an object")
     if header.get("version") != FORMAT_VERSION:
         raise FormatError(f"unsupported version {header.get('version')} in {path}")
+    if header.get("dtype") not in NUMERIC_DTYPES:  # a tuple: `in` hashes no JSON value
+        raise FormatError(f"header in {path} has dtype {header.get('dtype')!r}, "
+                          "not a bool, int or float type")
+    shape = header.get("shape")  # type(n) is int: a JSON true or 2.0 is no dimension
+    if not (isinstance(shape, list) and all(type(n) is int and n >= 0 for n in shape)):
+        raise FormatError(f"header in {path} has shape {shape!r}, not a list of non-negative ints")
     return header
 
 

@@ -1,13 +1,14 @@
 """Context-aware multiple-instance learning head.
 
 Instances (one embedding per tile, with integer grid coordinates) pass through
-a multi-head self-attention block whose logits carry a learned 2-D
+one multi-head self-attention block whose logits carry a learned 2-D
 relative-position bias, then through an adaptive pooling step that softmaxes
-across instances per output coordinate. A linear classifier on the pooled bag
-vector is trained with cross-entropy. Max/mean/soft/gated-attention poolings
-are kept as ablation baselines. The head takes batches of bags, (B, I, C)
-instances; `classify_bag` and `attention_report` score one `Bag` as a batch
-of one, and `attention_report` exports the map `msa_refine` made.
+across instances per output coordinate and averages over them. A linear
+classifier on the pooled bag vector is trained with cross-entropy at `LR`.
+Max/mean/soft/gated-attention poolings are kept as ablation baselines. The
+head takes batches of bags, (B, I, C) instances; `classify_bag` and
+`attention_report` score one `Bag` as a batch of one, and `attention_report`
+exports the map `msa_refine` returns.
 `train_epochs` is the one supervised epoch loop, for `train_mil` on frozen
 bags and for `pipeline.finetune_mil` end to end.
 """
@@ -25,6 +26,8 @@ from .errors import ConfigError, ContractViolation
 from .tensor import Adam, Tensor
 
 POOLING_KINDS = ("adaptive", "max", "mean", "soft", "gated_attention")
+LR = 1e-3  # train_mil's Adam step size
+BIAS_RADIUS = 7  # grid offsets beyond +-7 share the bias of +-7
 
 
 @dataclass
@@ -51,15 +54,10 @@ class MILConfig:
     feature_dim: int = 128
     n_classes: int = 7
     heads: int = 4
-    depth: int = 1
-    bias_radius: int = 7
     use_position_bias: bool = True
     pooling: str = "adaptive"
-    normalize_bag: bool = False
     epochs: int = 20
     batch_size: int = 32
-    lr: float = 1e-3
-    weight_decay: float = 1e-4
     seed: int = 0
 
     def validate(self):
@@ -79,10 +77,8 @@ def init_mil(rng: np.random.Generator, cfg: MILConfig) -> dict:
     cfg.validate()
     c = cfg.feature_dim
     p: dict[str, Tensor] = {}
-    span = 2 * cfg.bias_radius + 1
-    for b in range(cfg.depth):
-        block_init(rng, p, f"msa{b}", c)
-        p[f"msa{b}_bias"] = T.parameter(np.zeros((cfg.heads, span * span)))
+    block_init(rng, p, "msa0", c)
+    p["msa0_bias"] = T.parameter(np.zeros((cfg.heads, (2 * BIAS_RADIUS + 1) ** 2)))
     _linear_init(rng, p, "hw1", c, c)
     _linear_init(rng, p, "hw2", c, c)
     _linear_init(rng, p, "gate_v", c, 64)
@@ -92,44 +88,31 @@ def init_mil(rng: np.random.Generator, cfg: MILConfig) -> dict:
     return p
 
 
-def _bias_index(positions: np.ndarray, radius: int) -> np.ndarray:
+def _bias_index(positions: np.ndarray) -> np.ndarray:
     """(..., I, 2) grid coordinates -> (..., I, I) bias-table indices."""
     delta = positions[..., :, None, :] - positions[..., None, :, :]
-    delta = np.clip(delta, -radius, radius) + radius
-    span = 2 * radius + 1
-    return delta[..., 0] * span + delta[..., 1]
-
-
-def _position_bias(positions: np.ndarray, params: dict, blk: int, cfg: MILConfig):
-    """(B, heads, I, I) logit bias of block `blk` for (B, I, 2) positions, or None."""
-    if not cfg.use_position_bias:
-        return None
-    idx = _bias_index(positions, cfg.bias_radius)  # (B, I, I)
-    table = params[f"msa{blk}_bias"]  # (heads, span^2)
-    return T.transpose(table[:, idx], (1, 0, 2, 3))
+    delta = np.clip(delta, -BIAS_RADIUS, BIAS_RADIUS) + BIAS_RADIUS
+    return delta[..., 0] * (2 * BIAS_RADIUS + 1) + delta[..., 1]
 
 
 def msa_refine(instances, positions: np.ndarray, params: dict, cfg: MILConfig) -> tuple:
-    """Refine (B, I, C) instances at (B, I, 2) positions: (refined, each block's attention)."""
+    """Refine (B, I, C) instances at (B, I, 2) positions: (refined, (B, heads, I, I) attention)."""
     x = T.as_tensor(instances)
     if x.ndim != 3:
         raise ContractViolation(f"MIL head needs (B, I, C) instances, got {x.shape}")
-    maps = []
-    for blk in range(cfg.depth):
-        bias = _position_bias(positions, params, blk, cfg)
-        h = _layernorm(x, params[f"msa{blk}_ln1_g"], params[f"msa{blk}_ln1_b"])
-        h, attn = multihead_attention(h, params, f"msa{blk}", cfg.heads, bias)  # frees the norm
-        maps.append(attn)
-        x = feed_forward(x + h, params, f"msa{blk}")
-    return x, maps
+    bias = None
+    if cfg.use_position_bias:  # (B, heads, I, I) from the (heads, span^2) table
+        bias = T.transpose(params["msa0_bias"][:, _bias_index(positions)], (1, 0, 2, 3))
+    h = _layernorm(x, params["msa0_ln1_g"], params["msa0_ln1_b"])
+    h, attn = multihead_attention(h, params, "msa0", cfg.heads, bias)  # frees the norm
+    return feed_forward(x + h, params, "msa0"), attn
 
 
 def adaptive_pool(refined, params: dict, cfg: MILConfig, return_weights: bool = False):
     """Instance-axis softmax gating: mean_i softmax_i(h1(z_i)) * h2(z_i) over (..., I, C)."""
     z = T.as_tensor(refined)
     weights = T.softmax(_linear(z, params, "hw1"), axis=-2)  # per coordinate, over I
-    gated = weights * _linear(z, params, "hw2")
-    bag = gated.sum(axis=-2) if cfg.normalize_bag else gated.mean(axis=-2)
+    bag = (weights * _linear(z, params, "hw2")).mean(axis=-2)
     return (bag, weights) if return_weights else bag
 
 
@@ -207,15 +190,14 @@ def evaluate_bags(bags, params: dict, cfg: MILConfig):
     return _predict_groups(_stacked_groups(bags), len(bags), params, cfg)
 
 
-def train_epochs(params: dict, lr: float, weight_decay: float, epochs: int, batches, scores,
-                 progress=None) -> list:
+def train_epochs(params: dict, lr: float, epochs: int, batches, scores, progress=None) -> list:
     """Adam on cross-entropy, epoch by epoch; returns the history.
 
     `batches()` yields an epoch's (logits, labels), `scores()` its accuracies
     with "val_acc". Each epoch's record {"epoch", "loss", **scores()} goes to
     the history and to `progress`; the params end at the first best val_acc.
     """
-    opt = Adam(params, weight_decay=weight_decay)
+    opt = Adam(params)
     history = []
     best = {k: p.data.copy() for k, p in params.items()}
     best_acc = -1.0
@@ -268,13 +250,13 @@ def train_mil(train_bags, val_bags, cfg: MILConfig, progress=None):
         val_preds = _predict_groups(val_groups, len(val_bags), params, cfg)
         return {"train_acc": train_acc, "val_acc": float((val_preds == val_labels).mean())}
 
-    history = train_epochs(params, cfg.lr, cfg.weight_decay, cfg.epochs, batches, scores, progress)
+    history = train_epochs(params, LR, cfg.epochs, batches, scores, progress)
     return params, history
 
 
 def attention_report(bag: Bag, params: dict, cfg: MILConfig):
-    """Adaptive-pool weights (I, C) and block 0's MSA attention (heads, I, I) for export."""
+    """Adaptive-pool weights (I, C) and the MSA attention (heads, I, I) for export."""
     with T.no_grad():
-        refined, maps = msa_refine(bag.instances[None], bag.positions[None], params, cfg)
+        refined, attn = msa_refine(bag.instances[None], bag.positions[None], params, cfg)
         _, weights = adaptive_pool(refined, params, cfg, return_weights=True)
-    return weights.numpy()[0], maps[0].numpy()[0]
+    return weights.numpy()[0], attn.numpy()[0]

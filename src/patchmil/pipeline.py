@@ -194,7 +194,7 @@ def finetune_mil(
                 preds.extend(np.argmax(forward(val_images[start : start + 32]).numpy(), axis=1))
         return {"val_acc": float((np.array(preds) == val_labels).mean())}
 
-    history = ML.train_epochs(trainable, lr, cfg.weight_decay, epochs, batches, scores, progress)
+    history = ML.train_epochs(trainable, lr, epochs, batches, scores, progress)
     return encoder, mil_params, history
 
 

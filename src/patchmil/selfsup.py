@@ -60,7 +60,6 @@ class SSLConfig:
     epochs: int = 30
     batch_size: int = 64
     lr: float = 3e-4
-    weight_decay: float = 1e-4
     seed: int = 0
 
     def validate(self):
@@ -285,7 +284,7 @@ class SSLState:
             {k: v for k, v in self.student_heads.items() if not k.startswith("p_")}
         )
         trainable = {**self.student, **{f"head:{k}": v for k, v in self.student_heads.items()}}
-        self.optimizer = Adam(trainable, weight_decay=cfg.weight_decay)
+        self.optimizer = Adam(trainable)
         self.step_count = 0
 
 

@@ -9,9 +9,9 @@ reductions, softmax, l2_normalize, concat, roll, transpose/reshape/slicing.
 A constant operand of a binary op is not a parent of the op's tape node and
 gets no gradient.
 
-`no_grad()` switches the tape off for forward-only passes. `Adam` is the one
-optimizer of every training loop. `check_gradient` compares a backward pass
-with central finite differences.
+`no_grad()` switches the tape off for forward-only passes. `Adam` (constant
+betas, eps and weight decay) is the one optimizer of every training loop.
+`check_gradient` compares a backward pass with central finite differences.
 
 Precision is a build-wide setting: float32 by default, float64 inside
 `with default_dtype(np.float64):`, as the gradient checks run.
@@ -257,7 +257,7 @@ def parameter(data, requires_grad: bool = True) -> Tensor:
 
 
 class Adam:
-    """Adam (betas 0.9, 0.999, eps 1e-8), bias correction, L2 weight decay; lr is passed per step.
+    """Adam (betas 0.9, 0.999, eps 1e-8), bias correction, coupled L2 decay 1e-4; lr per step.
 
     The conv stack conditions the gradient badly at this scale (bias terms
     receive most of the raw gradient), so per-parameter step normalization is
@@ -271,13 +271,12 @@ class Adam:
     one pass of vector ops, in the per-parameter formula's order of operations.
     """
 
-    def __init__(self, params: dict, weight_decay: float = 1e-4):
+    def __init__(self, params: dict):
         dtypes = sorted({p.data.dtype.name for p in params.values()})
         if len(dtypes) > 1:
             raise ContractViolation(f"Adam needs parameters of one dtype, got {', '.join(dtypes)}")
         self.params = params
-        self.b1, self.b2, self.eps = 0.9, 0.999, 1e-8
-        self.weight_decay = weight_decay
+        self.b1, self.b2, self.eps, self.weight_decay = 0.9, 0.999, 1e-8, 1e-4
         self.t = 0
         total = sum(p.size for p in params.values())
         dtype = dtypes[0] if dtypes else _DEFAULT_DTYPE

@@ -235,6 +235,43 @@ class TestCorpusIndex:
         assert err.startswith(f"error: {root / 'index.jsonl'} line 1 ") and says in err
 
 
+class TestCheckpointTensors:
+    """A checkpoint's tensors must be those its config builds, by name and shape."""
+
+    def _probe(self, corpus, pretrain_run, tmp_path, edit):
+        groups, meta = D.load_checkpoint(pretrain_run / "checkpoint")
+        edit(groups["student"])
+        D.save_checkpoint(tmp_path / "ck", groups, meta=meta)
+        return main(["linear-probe", "--corpus", str(corpus), "--checkpoint", str(tmp_path / "ck")])
+
+    def test_tensor_of_another_shape_is_refused(self, corpus, pretrain_run, tmp_path, capsys):
+        width = D.load_checkpoint(pretrain_run / "checkpoint")[0]["student"]["gb0_ln1_g"].shape
+        # a (1,) scale broadcasts in the forward, so unchecked the probe runs
+        assert self._probe(corpus, pretrain_run, tmp_path,
+                           lambda s: s.update(gb0_ln1_g=np.ones(1))) == 1
+        out = capsys.readouterr()
+        assert out.out == "" and out.err == (
+            f"error: checkpoint {tmp_path / 'ck'} group 'student' has shape (1,) for 'gb0_ln1_g'; "
+            f"its config gives shape {width}\n"
+        )
+
+    def test_missing_tensor_is_refused(self, corpus, pretrain_run, tmp_path, capsys):
+        width = D.load_checkpoint(pretrain_run / "checkpoint")[0]["student"]["gb0_ln1_g"].shape
+        assert self._probe(corpus, pretrain_run, tmp_path, lambda s: s.pop("gb0_ln1_g")) == 1
+        assert capsys.readouterr().err == (
+            f"error: checkpoint {tmp_path / 'ck'} group 'student' has no tensor for 'gb0_ln1_g'; "
+            f"its config gives shape {width}\n"
+        )
+
+    def test_extra_tensor_is_refused(self, corpus, pretrain_run, tmp_path, capsys):
+        assert self._probe(corpus, pretrain_run, tmp_path,
+                           lambda s: s.update(gb9_ln1_g=np.ones(3))) == 1
+        assert capsys.readouterr().err == (
+            f"error: checkpoint {tmp_path / 'ck'} group 'student' has shape (3,) for 'gb9_ln1_g'; "
+            "its config gives no tensor\n"
+        )
+
+
 class TestPretrain:
     def test_run_dir_has_config_log_checkpoint(self, pretrain_run):
         assert (pretrain_run / "config.json").exists()
@@ -440,6 +477,36 @@ class TestMIL:
         argv = ["evaluate", "--corpus", str(corpus), "--mil-run", str(tmp_path / "run")]
         assert main(argv) == 1
         assert capsys.readouterr().err == f"error: checkpoint {tmp_path / 'run' / 'checkpoint'} {message}\n"
+
+    @pytest.mark.parametrize("command", ["evaluate", "export-attention"])
+    def test_run_saved_with_the_removed_mil_keys_is_refused(
+        self, corpus, mil_run, tmp_path, capsys, command
+    ):
+        # the MIL meta of a run saved while these were MILConfig fields
+        groups, meta = D.load_checkpoint(mil_run / "checkpoint")
+        meta["mil"].update(bias_radius=7, depth=1, lr=1e-3, normalize_bag=False, weight_decay=1e-4)
+        D.save_checkpoint(tmp_path / "run" / "checkpoint", groups, meta=meta)
+        argv = [command, "--corpus", str(corpus), "--mil-run", str(tmp_path / "run")]
+        if command == "export-attention":
+            argv += ["--out", str(tmp_path / "attn")]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            f"error: checkpoint {tmp_path / 'run' / 'checkpoint'} meta key 'mil' "
+            "has unknown key 'bias_radius'\n"
+        )
+
+    def test_mil_tensor_of_another_shape_is_refused(self, corpus, mil_run, tmp_path, capsys):
+        groups, meta = D.load_checkpoint(mil_run / "checkpoint")
+        heads = meta["mil"]["heads"]
+        groups["mil"]["msa0_bias"] = np.zeros((heads, 7 * 7))  # a 3-offset bias table
+        checkpoint = tmp_path / "run" / "checkpoint"
+        D.save_checkpoint(checkpoint, groups, meta=meta)
+        argv = ["evaluate", "--corpus", str(corpus), "--mil-run", str(tmp_path / "run")]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            f"error: checkpoint {checkpoint} group 'mil' has shape ({heads}, 49) for 'msa0_bias'; "
+            f"its config gives shape ({heads}, 225)\n"
+        )
 
     def test_export_attention(self, corpus, mil_run, tmp_path):
         out = tmp_path / "attn"

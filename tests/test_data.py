@@ -91,6 +91,21 @@ class TestTensorContainer:
         with pytest.raises(FormatError, match="version"):
             D.read_tensor(path)
 
+    @pytest.mark.parametrize("header,field", [
+        ([1, "float32", [2]], "JSON list, not an object"),
+        ({"version": 1, "dtype": "nonsense", "shape": [2]}, "dtype 'nonsense'"),
+        ({"version": 1, "dtype": "object", "shape": [2]}, "dtype 'object'"),
+        ({"version": 1, "dtype": "U2", "shape": [2]}, "dtype 'U2'"),
+        ({"version": 1, "dtype": "float32", "shape": "ab"}, "shape 'ab'"),
+        ({"version": 1, "dtype": "float32", "shape": [-1, -2]}, r"shape \[-1, -2\]"),
+    ])
+    def test_malformed_header_names_the_file_and_field(self, tmp_path, header, field):
+        path = tmp_path / "t.ftc"
+        hjson = json.dumps(header).encode()
+        path.write_bytes(b"FPTC0001" + struct.pack("<I", len(hjson)) + hjson + b"\x00" * 16)
+        with pytest.raises(FormatError, match=f"header in {re.escape(str(path))} .*{field}"):
+            D.read_tensor(path)
+
     def test_tensor_shape_reads_the_header(self, tmp_path):
         path = tmp_path / "t.ftc"
         D.write_tensor(path, np.zeros((5, 3, 2), dtype=np.float32))

@@ -16,7 +16,7 @@ def float64_mode():
         yield
 
 
-CFG = M.MILConfig(feature_dim=16, heads=2, n_classes=7, bias_radius=3)
+CFG = M.MILConfig(feature_dim=16, heads=2, n_classes=7)
 
 
 def make_params(cfg=CFG, seed=0):
@@ -158,14 +158,6 @@ class TestAdaptivePool:
         b = M.adaptive_pool(bag.instances[perm], params, CFG).numpy()
         np.testing.assert_allclose(a, b, atol=1e-9)
 
-    def test_normalize_bag_flag_rescales(self):
-        params = make_params()
-        cfg = M.MILConfig(feature_dim=16, heads=2, normalize_bag=True)
-        bag = random_bag(i=4, seed=16)
-        a = M.adaptive_pool(bag.instances, params, CFG).numpy()
-        b = M.adaptive_pool(bag.instances, params, cfg).numpy()
-        np.testing.assert_allclose(b, 4.0 * a, atol=1e-9)
-
 
 class TestBaselinePools:
     def test_single_instance_all_kinds(self):
@@ -259,50 +251,46 @@ class TestOneBatchedShape:
             M.cross_entropy(T.Tensor(np.zeros(7)), 3)
 
 
-DEEP = M.MILConfig(feature_dim=16, heads=2, n_classes=7, bias_radius=3, depth=2)
-
-
-class TestDepthTwo:
-    def test_second_block_has_its_own_keys(self):
-        params = make_params(DEEP)
+class TestOneBlock:
+    def test_block_keys(self):
+        params = make_params()
         block = ("ln1_g", "ln1_b", "qkv_w", "qkv_b", "proj_w", "proj_b", "ln2_g", "ln2_b",
                  "mlp1_w", "mlp1_b", "mlp2_w", "mlp2_b", "bias")
-        assert [k for k in params if k.startswith("msa")] == [
-            f"msa{b}_{name}" for b in range(2) for name in block
-        ]
+        assert [k for k in params if k.startswith("msa")] == [f"msa0_{name}" for name in block]
+        span = 2 * M.BIAS_RADIUS + 1
+        assert params["msa0_bias"].shape == (CFG.heads, span * span)
 
-    def test_gradient_check_through_both_blocks(self):
-        params = make_params(DEEP)
-        rng = np.random.default_rng(27)
-        for b in range(2):
-            params[f"msa{b}_bias"].data[...] = rng.normal(size=params[f"msa{b}_bias"].shape)
-        bag = random_bag(DEEP, i=4, seed=28)
+    def test_gradient_check_through_the_block(self):
+        params = make_params()
+        params["msa0_bias"].data[...] = np.random.default_rng(27).normal(
+            size=params["msa0_bias"].shape
+        )
+        bag = random_bag(i=4, seed=28)
 
         def refined(name):
             def loss(t):
                 trial = dict(params)
                 trial[name] = t
-                return (refine_bag(bag.instances, bag.positions, trial, DEEP) ** 2).sum()
+                return (refine_bag(bag.instances, bag.positions, trial) ** 2).sum()
             return loss
 
-        for name in ("msa0_qkv_w", "msa0_bias", "msa1_qkv_w", "msa1_mlp1_w", "msa1_bias"):
+        for name in ("msa0_qkv_w", "msa0_bias", "msa0_mlp1_w", "msa0_mlp2_w"):
             err = T.check_gradient(refined(name), params[name].data, step=1e-5)
             assert err < 1e-6, f"{name}: {err}"
         err = T.check_gradient(
-            lambda t: (refine_bag(t, bag.positions, params, DEEP) ** 2).sum(), bag.instances,
-            step=1e-5,
+            lambda t: (refine_bag(t, bag.positions, params) ** 2).sum(), bag.instances, step=1e-5,
         )
         assert err < 1e-6, f"instances: {err}"
 
     def test_attention_report_reads_the_map_msa_refine_made(self, monkeypatch):
-        params = make_params(DEEP)
-        rng = np.random.default_rng(30)
-        for b in range(2):
-            params[f"msa{b}_bias"].data[...] = rng.normal(size=params[f"msa{b}_bias"].shape)
-        bag = random_bag(DEEP, i=5, seed=31)
+        params = make_params()
+        params["msa0_bias"].data[...] = np.random.default_rng(30).normal(
+            size=params["msa0_bias"].shape
+        )
+        bag = random_bag(i=5, seed=31)
         with T.no_grad():
-            refined, maps = M.msa_refine(bag.instances[None], bag.positions[None], params, DEEP)
-            _, weights = M.adaptive_pool(refined, params, DEEP, return_weights=True)
+            refined, attn = M.msa_refine(bag.instances[None], bag.positions[None], params, CFG)
+            _, weights = M.adaptive_pool(refined, params, CFG, return_weights=True)
         calls = []
         softmax = T.softmax
 
@@ -311,21 +299,20 @@ class TestDepthTwo:
             return softmax(*args, **kwargs)
 
         monkeypatch.setattr(T, "softmax", counted)
-        report_weights, attn = M.attention_report(bag, params, DEEP)
-        # one softmax per block and one for the pool: block 0's map is not made again
-        assert len(calls) == DEEP.depth + 1
-        assert attn.tobytes() == maps[0].numpy()[0].tobytes()
+        report_weights, report_attn = M.attention_report(bag, params, CFG)
+        # one softmax for the block and one for the pool: the map is not made again
+        assert len(calls) == 2
+        assert report_attn.tobytes() == attn.numpy()[0].tobytes()
         assert report_weights.tobytes() == weights.numpy()[0].tobytes()
-        assert not np.array_equal(maps[0].numpy(), maps[1].numpy())
 
-    def test_train_mil_trains_both_blocks(self):
-        cfg = dataclasses.replace(DEEP, epochs=3, batch_size=8, seed=7)
+    def test_train_mil_trains_the_block(self):
+        cfg = dataclasses.replace(CFG, epochs=3, batch_size=8, seed=7)
         bags = planted_bags(cfg, n_per_class=2)
         params, history = M.train_mil(bags, bags[:5], cfg)
         assert [r["epoch"] for r in history] == [0, 1, 2]
         assert all(np.isfinite(r["loss"]) for r in history)
         fresh = M.init_mil(np.random.default_rng(cfg.seed), cfg)
-        for key in ("msa0_qkv_w", "msa1_qkv_w", "msa1_mlp2_w"):
+        for key in ("msa0_qkv_w", "msa0_mlp2_w", "msa0_bias"):
             assert not np.array_equal(params[key].data, fresh[key].data), key
 
 
@@ -347,7 +334,7 @@ def reference_train_mil(train_bags, val_bags, cfg):
     """train_mil with its own epoch loop: the reference for `train_epochs`."""
     rng = np.random.default_rng(cfg.seed)
     params = M.init_mil(rng, cfg)
-    opt = M.Adam(params, weight_decay=cfg.weight_decay)
+    opt = M.Adam(params)
     history, best, best_acc = [], {k: p.data.copy() for k, p in params.items()}, -1.0
     labels = np.array([b.label for b in train_bags])
     for epoch in range(cfg.epochs):
@@ -361,7 +348,7 @@ def reference_train_mil(train_bags, val_bags, cfg):
                 pos = np.stack([train_bags[i].positions for i in chunk])
                 loss = M.cross_entropy(M.bag_logits(inst, pos, params, cfg), labels[chunk])
                 loss.backward()
-                opt.step(cfg.lr)
+                opt.step(M.LR)
                 losses.append(loss.item())
         train_acc = float((M.evaluate_bags(train_bags, params, cfg) == labels).mean())
         val_labels = np.array([b.label for b in val_bags])
@@ -412,7 +399,7 @@ class TestTrainMil:
         assert h1 == h2
 
     def test_evaluate_bags_equals_taped_forward(self, monkeypatch):
-        cfg = M.MILConfig(feature_dim=16, heads=2, bias_radius=3)
+        cfg = M.MILConfig(feature_dim=16, heads=2)
         params = make_params(cfg)
         params["msa0_bias"].data[...] = np.random.default_rng(26).normal(size=params["msa0_bias"].shape)
         bags = planted_bags(cfg, n_per_class=2) + [random_bag(cfg, i=5, seed=s) for s in range(3)]
@@ -465,7 +452,7 @@ class TestTrainMil:
         qkv = qkv.reshape(n, 3, cfg.heads, dh)
         q, k = qkv[:, 0].transpose(1, 0, 2), qkv[:, 1].transpose(1, 0, 2)  # (heads, I, dh)
         logits = q @ k.transpose(0, 2, 1) / np.sqrt(dh)
-        r, span = cfg.bias_radius, 2 * cfg.bias_radius + 1
+        r, span = M.BIAS_RADIUS, 2 * M.BIAS_RADIUS + 1
         delta = np.clip(bag.positions[:, None] - bag.positions[None], -r, r) + r
         logits = logits + params["msa0_bias"].data[:, delta[..., 0] * span + delta[..., 1]]
         e = np.exp(logits - logits.max(axis=-1, keepdims=True))
