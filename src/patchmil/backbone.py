@@ -41,8 +41,11 @@ class ArchConfig:
         return self.side // 8
 
     def validate(self) -> None:
-        if self.parts < 1:
-            raise ConfigError(f"parts count must be >= 1, got {self.parts}")
+        for name in ("side", "patchify", "global_dim", "heads", "window", "embed_dim", "parts"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be at least 1, got {getattr(self, name)}")
+        if not self.local_channels or min(self.local_channels) < 1:
+            raise ConfigError(f"local_channels must be positive, got {self.local_channels}")
         if self.side % 8 != 0:
             raise ConfigError(f"input side {self.side} not divisible by 8")
         token_side = self.side // self.patchify

@@ -143,29 +143,37 @@ def _checkpoint_item(items: dict, key: str, kind: str, checkpoint):
     return items[key]
 
 
-def _meta_fields(cls, meta: dict, key: str, checkpoint) -> dict:
-    """meta[key], checked to set every field of dataclass `cls` and no other key.
+def _config_from_meta(cls, meta: dict, key: str, checkpoint):
+    """Config `cls` from meta[key], validated, or a FormatError naming the checkpoint and key.
 
-    Raises FormatError naming the checkpoint and the bad key.
+    meta[key] must set every field and no other key, each with its default's
+    JSON type (a tuple field is a list of ints); the error names the field.
     """
     fields = _checkpoint_item(meta, key, "meta key", checkpoint)
+    where = f"checkpoint {checkpoint} meta key {key!r}"
     if not isinstance(fields, dict):
-        raise FormatError(f"checkpoint {checkpoint} meta key {key!r} is not an object")
+        raise FormatError(f"{where} is not an object")
     names = [f.name for f in dataclasses.fields(cls)]
     unknown = sorted(set(fields) - set(names))
     if unknown:
-        raise FormatError(f"checkpoint {checkpoint} meta key {key!r} has unknown key {unknown[0]!r}")
+        raise FormatError(f"{where} has unknown key {unknown[0]!r}")
     missing = [name for name in names if name not in fields]
     if missing:
-        raise FormatError(f"checkpoint {checkpoint} meta key {key!r} has no key {missing[0]!r}")
-    return fields
-
-
-def _arch_from_meta(meta: dict, checkpoint) -> bb.ArchConfig:
-    fields = _meta_fields(bb.ArchConfig, meta, "arch", checkpoint)
-    if not isinstance(fields["local_channels"], list):
-        raise FormatError(f"checkpoint {checkpoint} meta key 'arch' has a non-list 'local_channels'")
-    return bb.ArchConfig(**dict(fields, local_channels=tuple(fields["local_channels"])))
+        raise FormatError(f"{where} has no key {missing[0]!r}")
+    for f in dataclasses.fields(cls):  # type(v) is int: a JSON true or 2.0 is no int
+        value = fields[f.name]
+        if isinstance(f.default, tuple):
+            kind, ok = "list", isinstance(value, list) and all(type(v) is int for v in value)
+        else:
+            kind, ok = type(f.default).__name__, type(value) is type(f.default)
+        if not ok:
+            raise FormatError(f"{where} has a non-{kind} {f.name!r}")
+    cfg = cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in fields.items()})
+    try:
+        cfg.validate()
+    except ConfigError as exc:
+        raise FormatError(f"{where} is invalid: {exc}") from None
+    return cfg
 
 
 def _checked_group(groups: dict, name: str, reference: dict, checkpoint) -> dict:
@@ -182,7 +190,7 @@ def _checked_group(groups: dict, name: str, reference: dict, checkpoint) -> dict
 
 def _load_backbone(checkpoint: str):
     groups, meta = D.load_checkpoint(checkpoint)
-    arch = _arch_from_meta(meta, checkpoint)
+    arch = _config_from_meta(bb.ArchConfig, meta, "arch", checkpoint)
     reference = bb.init_backbone(np.random.default_rng(0), arch)
     return _checked_group(groups, "student", reference, checkpoint), arch
 
@@ -260,8 +268,8 @@ def cmd_train_mil(args) -> int:
 def _load_mil_run(run_dir: str):
     checkpoint = Path(run_dir) / "checkpoint"
     groups, meta = D.load_checkpoint(checkpoint)
-    arch = _arch_from_meta(meta, checkpoint)
-    mil_cfg = ML.MILConfig(**_meta_fields(ML.MILConfig, meta, "mil", checkpoint))
+    arch = _config_from_meta(bb.ArchConfig, meta, "arch", checkpoint)
+    mil_cfg = _config_from_meta(ML.MILConfig, meta, "mil", checkpoint)
     rng = np.random.default_rng(0)  # the references' shapes do not depend on its draws
     mil_params = _checked_group(groups, "mil", ML.init_mil(rng, mil_cfg), checkpoint)
     if "student" in groups:  # fine-tuned runs carry their own encoder

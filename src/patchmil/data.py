@@ -97,13 +97,15 @@ def read_tensor(path):
         header = _read_header(fh, path)
         shape = tuple(header["shape"])
         dtype = np.dtype(header["dtype"]).newbyteorder("<")
-        expected = int(np.prod(shape)) * dtype.itemsize
-        payload = fh.read(expected + 1)
-        if len(payload) != expected:
-            raise FormatError(
-                f"payload length mismatch in {path}: expected {expected}, got {len(payload)}"
-            )
-        array = np.frombuffer(payload, dtype=dtype).reshape(shape)
+        expected = math.prod(shape) * dtype.itemsize  # Python ints: no int64 wraparound
+        left = os.fstat(fh.fileno()).st_size - fh.tell()
+        if left != expected:  # checked before reading: a huge claimed shape allocates nothing
+            raise FormatError(f"payload length mismatch in {path}: expected {expected}, got {left}")
+        payload = fh.read(expected)
+        try:
+            array = np.frombuffer(payload, dtype=dtype).reshape(shape)
+        except ValueError as exc:  # a zero-size shape with a dimension numpy cannot hold
+            raise FormatError(f"header in {path} has shape {list(shape)}: {exc}") from None
         return np.ascontiguousarray(array.astype(dtype.newbyteorder("="))), header
 
 

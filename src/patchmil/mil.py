@@ -6,9 +6,9 @@ relative-position bias, then through an adaptive pooling step that softmaxes
 across instances per output coordinate and averages over them. A linear
 classifier on the pooled bag vector is trained with cross-entropy at `LR`.
 Max/mean/soft/gated-attention poolings are kept as ablation baselines. The
-head takes batches of bags, (B, I, C) instances; `classify_bag` and
-`attention_report` score one `Bag` as a batch of one, and `attention_report`
-exports the map `msa_refine` returns.
+head takes batches of bags, (B, I, C) instances, and stacks a list of bags of
+one instance count once; `classify_bag` and `attention_report` score one `Bag`
+as a batch of one, and `attention_report` exports the map `msa_refine` returns.
 `train_epochs` is the one supervised epoch loop, for `train_mil` on frozen
 bags and for `pipeline.finetune_mil` end to end.
 """
@@ -65,6 +65,9 @@ class MILConfig:
             raise ConfigError(
                 f"unknown pooling kind {self.pooling!r}; valid kinds: {', '.join(POOLING_KINDS)}"
             )
+        for name in ("feature_dim", "n_classes", "heads"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be at least 1, got {getattr(self, name)}")
         if self.feature_dim % self.heads != 0:
             raise ConfigError("feature_dim must be divisible by heads")
         if self.batch_size < 1:
@@ -108,7 +111,7 @@ def msa_refine(instances, positions: np.ndarray, params: dict, cfg: MILConfig) -
     return feed_forward(x + h, params, "msa0"), attn
 
 
-def adaptive_pool(refined, params: dict, cfg: MILConfig, return_weights: bool = False):
+def adaptive_pool(refined, params: dict, return_weights: bool = False):
     """Instance-axis softmax gating: mean_i softmax_i(h1(z_i)) * h2(z_i) over (..., I, C)."""
     z = T.as_tensor(refined)
     weights = T.softmax(_linear(z, params, "hw1"), axis=-2)  # per coordinate, over I
@@ -116,7 +119,7 @@ def adaptive_pool(refined, params: dict, cfg: MILConfig, return_weights: bool = 
     return (bag, weights) if return_weights else bag
 
 
-def baseline_pool(refined, kind: str, params: dict, cfg: MILConfig) -> Tensor:
+def baseline_pool(refined, kind: str, params: dict) -> Tensor:
     """Ablation pooling of (..., I, C) instances over the instance axis."""
     z = T.as_tensor(refined)
     if kind == "max":
@@ -134,8 +137,8 @@ def baseline_pool(refined, kind: str, params: dict, cfg: MILConfig) -> Tensor:
 
 def pool(refined, params: dict, cfg: MILConfig) -> Tensor:
     if cfg.pooling == "adaptive":
-        return adaptive_pool(refined, params, cfg)
-    return baseline_pool(refined, cfg.pooling, params, cfg)
+        return adaptive_pool(refined, params)
+    return baseline_pool(refined, cfg.pooling, params)
 
 
 def bag_logits(instances, positions, params: dict, cfg: MILConfig) -> Tensor:
@@ -161,33 +164,24 @@ def cross_entropy(logits, labels) -> Tensor:
     return (log_norm - picked).mean()
 
 
-def _group_by_size(bags):
-    groups: dict[int, list[int]] = {}
-    for i, bag in enumerate(bags):
-        groups.setdefault(bag.instances.shape[0], []).append(i)
-    return groups
+def _stack(bags) -> tuple:
+    """(N, I, C) instances and (N, I, 2) positions of bags that share one instance count."""
+    counts = sorted({b.instances.shape[0] for b in bags})
+    if len(counts) > 1:
+        raise ContractViolation(f"a bag list must hold one instance count, got counts {counts}")
+    return np.stack([b.instances for b in bags]), np.stack([b.positions for b in bags])
 
 
-def _stacked_groups(bags) -> list:
-    """(bag indices, stacked instances, stacked positions) per instance count."""
-    return [
-        (np.array(idx), np.stack([bags[i].instances for i in idx]),
-         np.stack([bags[i].positions for i in idx]))
-        for idx in _group_by_size(bags).values()
-    ]
-
-
-def _predict_groups(groups, n_bags: int, params: dict, cfg: MILConfig) -> np.ndarray:
-    preds = np.zeros(n_bags, dtype=np.int64)
+def _predict(instances, positions, params: dict, cfg: MILConfig) -> np.ndarray:
     with T.no_grad():
-        for idx, inst, pos in groups:
-            preds[idx] = np.argmax(bag_logits(inst, pos, params, cfg).numpy(), axis=1)
-    return preds
+        return np.argmax(bag_logits(instances, positions, params, cfg).numpy(), axis=1)
 
 
 def evaluate_bags(bags, params: dict, cfg: MILConfig):
-    """Predicted class ids for a list of bags (batched by instance count)."""
-    return _predict_groups(_stacked_groups(bags), len(bags), params, cfg)
+    """Predicted class ids for a list of bags of one instance count, in one forward."""
+    if not bags:
+        return np.zeros(0, dtype=np.int64)
+    return _predict(*_stack(bags), params, cfg)
 
 
 def train_epochs(params: dict, lr: float, epochs: int, batches, scores, progress=None) -> list:
@@ -222,33 +216,32 @@ def train_epochs(params: dict, lr: float, epochs: int, batches, scores, progress
 def train_mil(train_bags, val_bags, cfg: MILConfig, progress=None):
     """Cross-entropy training on frozen bags; returns (best params, history).
 
-    Batches hold bags of one size. Without val bags, train_acc is the val_acc.
-    Each size group of the train and val bags is stacked once per call.
+    The train and val bags are each stacked once per call, so each list holds
+    one instance count. Without val bags, train_acc is the val_acc.
     """
     cfg.validate()
     if not train_bags:
         raise ContractViolation("train_mil needs at least one training bag")
     rng = np.random.default_rng(cfg.seed)
     params = init_mil(rng, cfg)
+    inst, pos = _stack(train_bags)
     labels = np.array([b.label for b in train_bags])
+    val = _stack(val_bags) if val_bags else None
     val_labels = np.array([b.label for b in val_bags])
-    groups = _stacked_groups(train_bags)
-    val_groups = _stacked_groups(val_bags)
 
     def batches():
-        for idx, inst, pos in groups:
-            order = np.arange(len(idx))
-            rng.shuffle(order)  # the draws and permutation of shuffling idx in place
-            for s in range(0, len(order), cfg.batch_size):
-                chunk = order[s : s + cfg.batch_size]
-                yield bag_logits(inst[chunk], pos[chunk], params, cfg), labels[idx[chunk]]
+        order = np.arange(len(labels))
+        rng.shuffle(order)
+        for s in range(0, len(order), cfg.batch_size):
+            chunk = order[s : s + cfg.batch_size]
+            yield bag_logits(inst[chunk], pos[chunk], params, cfg), labels[chunk]
 
     def scores():
-        train_acc = float((_predict_groups(groups, len(train_bags), params, cfg) == labels).mean())
-        if not val_bags:
+        train_acc = float((_predict(inst, pos, params, cfg) == labels).mean())
+        if val is None:
             return {"train_acc": train_acc, "val_acc": train_acc}
-        val_preds = _predict_groups(val_groups, len(val_bags), params, cfg)
-        return {"train_acc": train_acc, "val_acc": float((val_preds == val_labels).mean())}
+        val_acc = float((_predict(*val, params, cfg) == val_labels).mean())
+        return {"train_acc": train_acc, "val_acc": val_acc}
 
     history = train_epochs(params, LR, cfg.epochs, batches, scores, progress)
     return params, history
@@ -258,5 +251,5 @@ def attention_report(bag: Bag, params: dict, cfg: MILConfig):
     """Adaptive-pool weights (I, C) and the MSA attention (heads, I, I) for export."""
     with T.no_grad():
         refined, attn = msa_refine(bag.instances[None], bag.positions[None], params, cfg)
-        _, weights = adaptive_pool(refined, params, cfg, return_weights=True)
+        _, weights = adaptive_pool(refined, params, return_weights=True)
     return weights.numpy()[0], attn.numpy()[0]

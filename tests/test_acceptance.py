@@ -160,18 +160,18 @@ class TestPoolingInvariants:
         with T.default_dtype(np.float64):
             cfg, params, refined = self._setup(6)
             bag, weights = ML.adaptive_pool(
-                T.as_tensor(refined), params, cfg, return_weights=True
+                T.as_tensor(refined), params, return_weights=True
             )
             bag, weights = bag.numpy(), weights.numpy()
 
             perm = np.random.default_rng(1).permutation(6)
-            bag_perm = ML.adaptive_pool(T.as_tensor(refined[perm]), params, cfg).numpy()
+            bag_perm = ML.adaptive_pool(T.as_tensor(refined[perm]), params).numpy()
             perm_err = np.abs(bag - bag_perm).max()
 
             sums_err = np.abs(weights.sum(axis=0) - 1.0).max()
 
             cfg1, params1, one = self._setup(1, seed=2)
-            bag1 = ML.adaptive_pool(T.as_tensor(one), params1, cfg1).numpy()
+            bag1 = ML.adaptive_pool(T.as_tensor(one), params1).numpy()
             h2 = (one @ params1["hw2_w"].data + params1["hw2_b"].data)[0]
             identity_err = np.abs(bag1 - h2).max()
 

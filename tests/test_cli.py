@@ -478,6 +478,26 @@ class TestMIL:
         assert main(argv) == 1
         assert capsys.readouterr().err == f"error: checkpoint {tmp_path / 'run' / 'checkpoint'} {message}\n"
 
+    @pytest.mark.parametrize("key,field,value,message", [
+        ("mil", "heads", 3, "meta key 'mil' is invalid: feature_dim must be divisible by heads"),
+        ("arch", "global_dim", 30, "meta key 'arch' is invalid: global_dim must be divisible by heads"),
+        ("mil", "heads", "4", "meta key 'mil' has a non-int 'heads'"),
+        ("arch", "side", "32", "meta key 'arch' has a non-int 'side'"),
+        ("mil", "heads", 0, "meta key 'mil' is invalid: heads must be at least 1, got 0"),
+        ("arch", "local_channels", [], "meta key 'arch' is invalid: local_channels must be "
+         "positive, got ()"),
+    ])
+    def test_invalid_config_meta_is_a_checkpoint_error(
+        self, corpus, mil_run, tmp_path, capsys, key, field, value, message
+    ):
+        groups, meta = D.load_checkpoint(mil_run / "checkpoint")
+        meta[key][field] = value
+        checkpoint = tmp_path / "run" / "checkpoint"
+        D.save_checkpoint(checkpoint, groups, meta=meta)
+        argv = ["evaluate", "--corpus", str(corpus), "--mil-run", str(tmp_path / "run")]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: checkpoint {checkpoint} {message}\n"
+
     @pytest.mark.parametrize("command", ["evaluate", "export-attention"])
     def test_run_saved_with_the_removed_mil_keys_is_refused(
         self, corpus, mil_run, tmp_path, capsys, command

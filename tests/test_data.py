@@ -106,6 +106,15 @@ class TestTensorContainer:
         with pytest.raises(FormatError, match=f"header in {re.escape(str(path))} .*{field}"):
             D.read_tensor(path)
 
+    @pytest.mark.parametrize("shape", [[2**32, 2**32, 1], [2**62, 4], [3, 2**61], [0, 2**62]])
+    def test_shape_beyond_the_file_is_refused(self, tmp_path, shape):
+        # int64 products of these shapes wrap around; the header has no payload after it
+        path = tmp_path / "t.ftc"
+        hjson = json.dumps({"version": 1, "dtype": "float32", "shape": shape}).encode()
+        path.write_bytes(b"FPTC0001" + struct.pack("<I", len(hjson)) + hjson)
+        with pytest.raises(FormatError, match=re.escape(str(path))):
+            D.read_tensor(path)
+
     def test_tensor_shape_reads_the_header(self, tmp_path):
         path = tmp_path / "t.ftc"
         D.write_tensor(path, np.zeros((5, 3, 2), dtype=np.float32))

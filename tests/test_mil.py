@@ -119,27 +119,27 @@ class TestAdaptivePool:
     def test_single_instance_identity_case(self):
         params = make_params()
         bag = random_bag(i=1, seed=10)
-        z_bag = M.adaptive_pool(bag.instances, params, CFG).numpy()
+        z_bag = M.adaptive_pool(bag.instances, params).numpy()
         h2 = bag.instances @ params["hw2_w"].numpy() + params["hw2_b"].numpy()
         np.testing.assert_allclose(z_bag, h2[0], atol=1e-12)
 
     def test_two_identical_instances_halve(self):
         params = make_params()
         z = np.random.default_rng(11).normal(size=16)
-        z_bag = M.adaptive_pool(np.stack([z, z]), params, CFG).numpy()
+        z_bag = M.adaptive_pool(np.stack([z, z]), params).numpy()
         h2 = z @ params["hw2_w"].numpy() + params["hw2_b"].numpy()
         np.testing.assert_allclose(z_bag, h2 / 2.0, atol=1e-12)
 
     def test_weights_sum_to_one_per_coordinate(self):
         params = make_params()
         bag = random_bag(i=5, seed=12)
-        _, w = M.adaptive_pool(bag.instances, params, CFG, return_weights=True)
+        _, w = M.adaptive_pool(bag.instances, params, return_weights=True)
         np.testing.assert_allclose(w.numpy().sum(axis=0), np.ones(16), atol=1e-6)
 
     def test_matches_two_loop_oracle(self):
         params = make_params()
         bag = random_bag(i=5, seed=13)
-        z_bag = M.adaptive_pool(bag.instances, params, CFG).numpy()
+        z_bag = M.adaptive_pool(bag.instances, params).numpy()
         w1 = bag.instances @ params["hw1_w"].numpy() + params["hw1_b"].numpy()
         h2 = bag.instances @ params["hw2_w"].numpy() + params["hw2_b"].numpy()
         i, c = w1.shape
@@ -154,8 +154,8 @@ class TestAdaptivePool:
         params = make_params()
         bag = random_bag(i=7, seed=14)
         perm = np.random.default_rng(15).permutation(7)
-        a = M.adaptive_pool(bag.instances, params, CFG).numpy()
-        b = M.adaptive_pool(bag.instances[perm], params, CFG).numpy()
+        a = M.adaptive_pool(bag.instances, params).numpy()
+        b = M.adaptive_pool(bag.instances[perm], params).numpy()
         np.testing.assert_allclose(a, b, atol=1e-9)
 
 
@@ -164,19 +164,19 @@ class TestBaselinePools:
         params = make_params()
         bag = random_bag(i=1, seed=17)
         for kind in ("max", "mean", "soft", "gated_attention"):
-            out = M.baseline_pool(bag.instances, kind, params, CFG).numpy()
+            out = M.baseline_pool(bag.instances, kind, params).numpy()
             np.testing.assert_allclose(out, bag.instances[0], atol=1e-9)
 
     def test_mean_of_unit_vectors(self):
         params = make_params()
         z = np.array([[1.0, 0.0], [0.0, 1.0]])
-        out = M.baseline_pool(z, "mean", params, CFG).numpy()
+        out = M.baseline_pool(z, "mean", params).numpy()
         np.testing.assert_allclose(out, [0.5, 0.5])
 
     def test_soft_pool_of_constant_bag(self):
         params = make_params()
         z = np.tile(np.random.default_rng(18).normal(size=16), (4, 1))
-        out = M.baseline_pool(z, "soft", params, CFG).numpy()
+        out = M.baseline_pool(z, "soft", params).numpy()
         np.testing.assert_allclose(out, z[0], atol=1e-9)
 
     def test_gated_attention_weights_sum_to_one(self):
@@ -189,7 +189,7 @@ class TestBaselinePools:
 
     def test_unknown_kind_raises(self):
         with pytest.raises(ConfigError, match="adaptive"):
-            M.baseline_pool(np.ones((2, 16)), "fancy", make_params(), CFG)
+            M.baseline_pool(np.ones((2, 16)), "fancy", make_params())
         with pytest.raises(ConfigError):
             M.MILConfig(pooling="fancy").validate()
 
@@ -290,7 +290,7 @@ class TestOneBlock:
         bag = random_bag(i=5, seed=31)
         with T.no_grad():
             refined, attn = M.msa_refine(bag.instances[None], bag.positions[None], params, CFG)
-            _, weights = M.adaptive_pool(refined, params, CFG, return_weights=True)
+            _, weights = M.adaptive_pool(refined, params, return_weights=True)
         calls = []
         softmax = T.softmax
 
@@ -339,17 +339,16 @@ def reference_train_mil(train_bags, val_bags, cfg):
     labels = np.array([b.label for b in train_bags])
     for epoch in range(cfg.epochs):
         losses = []
-        for idx in M._group_by_size(train_bags).values():
-            idx = np.array(idx)
-            rng.shuffle(idx)
-            for s in range(0, len(idx), cfg.batch_size):
-                chunk = idx[s : s + cfg.batch_size]
-                inst = np.stack([train_bags[i].instances for i in chunk])
-                pos = np.stack([train_bags[i].positions for i in chunk])
-                loss = M.cross_entropy(M.bag_logits(inst, pos, params, cfg), labels[chunk])
-                loss.backward()
-                opt.step(M.LR)
-                losses.append(loss.item())
+        idx = np.arange(len(train_bags))
+        rng.shuffle(idx)  # one permutation per epoch
+        for s in range(0, len(idx), cfg.batch_size):
+            chunk = idx[s : s + cfg.batch_size]
+            inst = np.stack([train_bags[i].instances for i in chunk])
+            pos = np.stack([train_bags[i].positions for i in chunk])
+            loss = M.cross_entropy(M.bag_logits(inst, pos, params, cfg), labels[chunk])
+            loss.backward()
+            opt.step(M.LR)
+            losses.append(loss.item())
         train_acc = float((M.evaluate_bags(train_bags, params, cfg) == labels).mean())
         val_labels = np.array([b.label for b in val_bags])
         val_acc = float((M.evaluate_bags(val_bags, params, cfg) == val_labels).mean())
@@ -365,8 +364,8 @@ def reference_train_mil(train_bags, val_bags, cfg):
 class TestTrainMil:
     def test_equals_own_loop_reference_and_reports_each_epoch(self):
         cfg = M.MILConfig(feature_dim=16, heads=2, epochs=4, batch_size=5, seed=6)
-        # two instance-count groups, each ending in a partial batch
-        bags = planted_bags(cfg, n_per_class=2) + [random_bag(cfg, i=5, seed=s) for s in range(7)]
+        # 21 bags of one instance count: four full batches and a partial one
+        bags = planted_bags(cfg, n_per_class=2) + [random_bag(cfg, i=4, seed=s) for s in range(7)]
         val = planted_bags(cfg, n_per_class=1, seed=1)
         records = []
         params, history = M.train_mil(bags, val, cfg, progress=records.append)
@@ -402,14 +401,11 @@ class TestTrainMil:
         cfg = M.MILConfig(feature_dim=16, heads=2)
         params = make_params(cfg)
         params["msa0_bias"].data[...] = np.random.default_rng(26).normal(size=params["msa0_bias"].shape)
-        bags = planted_bags(cfg, n_per_class=2) + [random_bag(cfg, i=5, seed=s) for s in range(3)]
-        taped = []
-        for size in (4, 5):
-            group = [b for b in bags if b.instances.shape[0] == size]
-            logits = M.bag_logits(np.stack([b.instances for b in group]),
-                                  np.stack([b.positions for b in group]), params, cfg)
-            assert logits._backward is not None
-            taped.append(np.argmax(logits.numpy(), axis=1))
+        bags = planted_bags(cfg, n_per_class=2) + [random_bag(cfg, i=4, seed=s) for s in range(3)]
+        logits = M.bag_logits(np.stack([b.instances for b in bags]),
+                              np.stack([b.positions for b in bags]), params, cfg)
+        assert logits._backward is not None
+        taped = np.argmax(logits.numpy(), axis=1)
         outputs = []
         bag_logits = M.bag_logits
 
@@ -419,12 +415,24 @@ class TestTrainMil:
 
         monkeypatch.setattr(M, "bag_logits", spy)
         preds = M.evaluate_bags(bags, params, cfg)
-        assert len(outputs) == 2 and all(o._backward is None for o in outputs)
-        assert preds.tobytes() == np.concatenate(taped).tobytes()
+        # one forward over the whole stack, off the tape
+        assert len(outputs) == 1 and all(o._backward is None for o in outputs)
+        assert preds.tobytes() == taped.tobytes()
         one = M.classify_bag(bags[-1], params, cfg)
         assert outputs[-1]._backward is None
         ref = bag_logits(bags[-1].instances[None], bags[-1].positions[None], params, cfg)
         assert one.tobytes() == ref.numpy().tobytes()
+
+    def test_mixed_instance_counts_are_refused(self):
+        cfg = M.MILConfig(feature_dim=16, heads=2, epochs=1)
+        bags = planted_bags(cfg, n_per_class=1) + [random_bag(cfg, i=5, seed=0)]
+        for call in (lambda: M.train_mil(bags, [], cfg),
+                     lambda: M.train_mil(bags[:2], bags, cfg),
+                     lambda: M.evaluate_bags(bags, make_params(cfg), cfg)):
+            with pytest.raises(ContractViolation, match=r"counts \[4, 5\]"):
+                call()
+        empty = M.evaluate_bags([], make_params(cfg), cfg)
+        assert empty.shape == (0,) and empty.dtype == np.int64
 
     def test_attention_report_shapes(self):
         cfg = M.MILConfig(feature_dim=16, heads=2)
