@@ -133,11 +133,11 @@ def _mlp(x: Tensor, params: dict, name: str) -> Tensor:
     return _linear(T.relu(_linear(x, params, f"{name}_1")), params, f"{name}_2")
 
 
-def _layernorm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+def _layernorm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     mu = x.mean(axis=-1, keepdims=True)
     centered = x - mu
     var = (centered * centered).mean(axis=-1, keepdims=True)
-    return centered * T.power(var + eps, -0.5) * gain + bias
+    return centered * T.power(var + 1e-5, -0.5) * gain + bias
 
 
 def feed_forward(x: Tensor, params: dict, prefix: str) -> Tensor:

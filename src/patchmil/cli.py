@@ -1,9 +1,10 @@
 """Command-line surface: corpus generation, pretraining, probing, MIL, ablations.
 
-Exit codes: 0 success, 2 usage error, 1 runtime failure. This is the one
-module that writes run-directory files: the per-step `losses.csv` of
-`pretrain` and the per-epoch `history.csv` of `train-mil` come from the
-training loops' `progress(record)` callbacks. Every training
+Exit codes: 0 success, 2 usage error, 1 runtime failure. A flag that fills a
+config field takes its default from that field. This is the one module that
+writes run-directory files: the per-step `losses.csv` of `pretrain` and the
+per-epoch `history.csv` of `train-mil` come from the training loops'
+`progress(record)` callbacks. Every training
 command writes its fully resolved configuration into the run directory, and
 a run directory is never overwritten once it holds a config. The config is
 written last, after every other output of the run, so a run that crashed
@@ -197,8 +198,10 @@ def _load_backbone(checkpoint: str):
 
 def cmd_linear_probe(args) -> int:
     corpus = _corpus_dir(args)
+    if args.random_init and args.checkpoint:
+        raise ConfigError("linear-probe takes --checkpoint or --random-init, not both")
     if args.random_init:
-        arch = bb.ArchConfig(parts=args.parts)
+        arch = bb.ArchConfig()
         params = bb.init_backbone(np.random.default_rng(args.seed), arch)
     elif args.checkpoint:
         params, arch = _load_backbone(args.checkpoint)
@@ -236,8 +239,7 @@ def cmd_train_mil(args) -> int:
 
         if args.finetune:
             encoder, params, _ = P.finetune_mil(
-                corpus, backbone_params, arch, mil_cfg, epochs=mil_cfg.epochs,
-                batch_size=mil_cfg.batch_size, lr=args.finetune_lr, progress=log,
+                corpus, backbone_params, arch, mil_cfg, lr=args.finetune_lr, progress=log
             )
             test_bags = P.bags_from_corpus(corpus, "test", encoder, arch)
             groups["student"] = encoder
@@ -397,11 +399,13 @@ def _flag_default(key: str, value, action: argparse.Action):
 
 def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     """The top-level parser and its {command: subcommand parser} map."""
+    corpus_cfg, ssl_cfg, mil_cfg = D.CorpusConfig(), S.SSLConfig(), ML.MILConfig()
     parser = argparse.ArgumentParser(prog="patchmil")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
 
-    def common(p, corpus=True):
-        p.add_argument("--seed", type=int, default=0)
+    def common(p, corpus=True, seed=True):
+        if seed:
+            p.add_argument("--seed", type=int, default=0)
         if corpus:
             p.add_argument("--corpus", default=None, help="corpus dir (or $PATCHMIL_CORPUS)")
         p.add_argument("--config", default=None, help="JSON config file with flag defaults")
@@ -409,33 +413,31 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p = sub.add_parser("generate-data", help="render the synthetic corpus")
     common(p, corpus=False)
     p.add_argument("--out", required=True)
-    p.add_argument("--counts", default="50,10,15", help="train,val,test images per class per magnification")
-    p.add_argument("--magnifications", default="10,20")
-    p.add_argument("--side", type=int, default=64)
+    p.add_argument("--counts", default=",".join(map(str, corpus_cfg.counts)),
+                   help="train,val,test images per class per magnification")
+    p.add_argument("--magnifications", default=",".join(map(str, corpus_cfg.magnifications)))
+    p.add_argument("--side", type=int, default=corpus_cfg.side)
     p.set_defaults(func=cmd_generate_data)
 
     def ssl_flags(p):
-        p.add_argument("--epochs", type=int, default=30)
-        p.add_argument("--batch-size", type=int, default=64)
-        p.add_argument("--lr", type=float, default=3e-4)
-        p.add_argument("--gamma", type=float, default=5.0)
-        p.add_argument("--lam", type=float, default=0.005)
-        p.add_argument("--epsilon", type=float, default=1e-4)
-        p.add_argument("--momentum", type=float, default=0.99)
-        p.add_argument("--parts", type=int, default=4)
+        p.add_argument("--epochs", type=int, default=ssl_cfg.epochs)
+        p.add_argument("--batch-size", type=int, default=ssl_cfg.batch_size)
+        p.add_argument("--lr", type=float, default=ssl_cfg.lr)
+        for name in ("gamma", "lam", "epsilon", "momentum"):
+            p.add_argument(f"--{name}", type=float, default=getattr(ssl_cfg.weights, name))
+        p.add_argument("--parts", type=int, default=ssl_cfg.arch.parts)
 
     p = sub.add_parser("pretrain", help="self-supervised encoder training")
     common(p)
     p.add_argument("--out", required=True)
     ssl_flags(p)
-    p.add_argument("--loss", default="global,parts,var,cov")
+    p.add_argument("--loss", default=",".join(S.LOSS_TERMS))
     p.set_defaults(func=cmd_pretrain)
 
     p = sub.add_parser("linear-probe", help="frozen-encoder linear classification")
     common(p)
     p.add_argument("--checkpoint", default=None)
     p.add_argument("--random-init", action="store_true")
-    p.add_argument("--parts", type=int, default=4)
     p.add_argument("--json", default=None)
     p.set_defaults(func=cmd_linear_probe)
 
@@ -446,14 +448,14 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--finetune", action="store_true",
                    help="also train the encoder end to end instead of freezing it")
     p.add_argument("--finetune-lr", type=float, default=P.FINETUNE_LR)
-    p.add_argument("--pooling", default="adaptive", choices=ML.POOLING_KINDS)
-    p.add_argument("--epochs", type=int, default=20)
-    p.add_argument("--batch-size", type=int, default=32)
+    p.add_argument("--pooling", default=mil_cfg.pooling, choices=ML.POOLING_KINDS)
+    p.add_argument("--epochs", type=int, default=mil_cfg.epochs)
+    p.add_argument("--batch-size", type=int, default=mil_cfg.batch_size)
     p.add_argument("--no-position-bias", action="store_true")
     p.set_defaults(func=cmd_train_mil)
 
     p = sub.add_parser("evaluate", help="score a trained MIL run on a split")
-    common(p)
+    common(p, seed=False)
     p.add_argument("--mil-run", required=True)
     p.add_argument("--split", default="test", choices=D.SPLITS)
     p.add_argument("--json", default=None)
@@ -466,7 +468,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.set_defaults(func=cmd_ablate)
 
     p = sub.add_parser("export-attention", help="per-bag attention weights + graymaps")
-    common(p)
+    common(p, seed=False)
     p.add_argument("--mil-run", required=True)
     p.add_argument("--split", default="test", choices=D.SPLITS)
     p.add_argument("--out", required=True)

@@ -11,6 +11,7 @@ so the bytes do not depend on which worker renders which image.
 
 from __future__ import annotations
 
+import io
 import json
 import math
 import os
@@ -37,8 +38,11 @@ SPLITS = ("train", "val", "test")
 # -- tensor container -------------------------------------------------------
 
 
-def write_tensor(path, array: np.ndarray, meta: dict | None = None) -> None:
-    """Write one tensor: magic, LE header length, JSON header, LE payload."""
+def write_tensor(path, array: np.ndarray, meta: dict | None = None) -> int:
+    """Write one tensor: magic, LE header length, JSON header, LE payload.
+
+    Returns the crc32 of the bytes written.
+    """
     array = np.asarray(array)
     header = {
         "version": FORMAT_VERSION,
@@ -49,11 +53,11 @@ def write_tensor(path, array: np.ndarray, meta: dict | None = None) -> None:
         header["meta"] = meta
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
     payload = array.astype(array.dtype.newbyteorder("<"), copy=False).tobytes(order="C")
+    head = MAGIC + struct.pack("<I", len(blob)) + blob
     with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", len(blob)))
-        fh.write(blob)
+        fh.write(head)
         fh.write(payload)
+    return zlib.crc32(payload, zlib.crc32(head))
 
 
 def _read_header(fh, path) -> dict:
@@ -91,14 +95,25 @@ def tensor_shape(path) -> tuple:
         return tuple(_read_header(fh, path)["shape"])
 
 
-def read_tensor(path):
-    """Read a container written by `write_tensor`; returns (array, header)."""
+def read_tensor(path, crc32: int | None = None):
+    """Read a container written by `write_tensor`; returns (array, header).
+
+    With `crc32`, the file's bytes must have that checksum, or FormatError;
+    the file is read once either way.
+    """
     with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        if crc32 is not None:  # parse the very bytes whose checksum was checked
+            raw = fh.read()
+            if zlib.crc32(raw) != crc32:
+                raise FormatError(f"checksum mismatch in {path}: its bytes do not have "
+                                  f"crc32 {crc32:08x}")
+            fh, size = io.BytesIO(raw), len(raw)
         header = _read_header(fh, path)
         shape = tuple(header["shape"])
         dtype = np.dtype(header["dtype"]).newbyteorder("<")
         expected = math.prod(shape) * dtype.itemsize  # Python ints: no int64 wraparound
-        left = os.fstat(fh.fileno()).st_size - fh.tell()
+        left = size - fh.tell()
         if left != expected:  # checked before reading: a huge claimed shape allocates nothing
             raise FormatError(f"payload length mismatch in {path}: expected {expected}, got {left}")
         payload = fh.read(expected)
@@ -118,31 +133,35 @@ def save_checkpoint(path, groups: dict, meta: dict | None = None) -> None:
     The manifest is what makes a checkpoint loadable, so an old one is removed
     before any tensor file is rewritten and the new one is moved into place
     last: a save cut short leaves no checkpoint rather than a mixed one.
-    Tensor files the new manifest does not list are removed after it.
+    Tensor files the new manifest does not list are removed after it. The
+    manifest holds each tensor file's crc32 beside the groups and the meta.
     """
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
     (path / "manifest.json").unlink(missing_ok=True)
-    manifest = {"groups": {}, "meta": meta or {}}
+    manifest = {"groups": {}, "crc32": {}, "meta": meta or {}}
     for group, params in groups.items():
         names = sorted(params)
         manifest["groups"][group] = names
         for name in names:
             value = params[name]
             array = value.data if isinstance(value, T.Tensor) else np.asarray(value)
-            write_tensor(path / f"{group}__{name}.ftc", array)
+            file = f"{group}__{name}.ftc"
+            manifest["crc32"][file] = write_tensor(path / file, array)
     partial = path / "manifest.json.partial"
     partial.write_text(json.dumps(manifest, indent=2, sort_keys=True))
     os.replace(partial, path / "manifest.json")
-    listed = {f"{group}__{name}.ftc" for group, names in manifest["groups"].items()
-              for name in names}
     for stale in path.glob("*.ftc"):  # left by an earlier save with more tensors
-        if stale.name not in listed:
+        if stale.name not in manifest["crc32"]:
             stale.unlink()
 
 
 def load_checkpoint(path):
-    """Load parameter groups back as dicts of non-gradient Tensors + metadata."""
+    """Load parameter groups back as dicts of non-gradient Tensors + metadata.
+
+    Each tensor file must have the crc32 that the manifest lists for it; a
+    checkpoint saved before the manifest held checksums is refused.
+    """
     path = Path(path)
     manifest_path = path / "manifest.json"
     if not manifest_path.exists():
@@ -159,11 +178,16 @@ def load_checkpoint(path):
             # names become file names inside the checkpoint directory
             if not isinstance(part, str) or part in ("", ".", "..") or "/" in part or "\\" in part:
                 raise FormatError(f"bad group or tensor name {part!r} in {manifest_path}")
+    sums = manifest.get("crc32")
+    sums = sums if isinstance(sums, dict) else {}
     groups = {}
     for group, names in listed.items():
         groups[group] = {}
         for name in names:
-            array, _ = read_tensor(path / f"{group}__{name}.ftc")
+            file = f"{group}__{name}.ftc"
+            if type(sums.get(file)) is not int:
+                raise FormatError(f"{manifest_path} lists no crc32 for {file}")
+            array, _ = read_tensor(path / file, crc32=sums[file])
             groups[group][name] = T.parameter(array, requires_grad=False)
     return groups, manifest.get("meta", {})
 
@@ -185,6 +209,9 @@ class CorpusConfig:
         bad = set(self.magnifications) - {5, 10, 20, 40}
         if bad:
             raise ContractViolation(f"unsupported magnifications {sorted(bad)}")
+        repeated = sorted({m for m in self.magnifications if self.magnifications.count(m) > 1})
+        if repeated:  # each image would be indexed, and read into its split, twice
+            raise ContractViolation(f"repeated magnifications {repeated}")
 
 
 @dataclass
@@ -342,13 +369,14 @@ def load_index(corpus_dir) -> list:
 
     Every line must be a JSON object with exactly SampleRecord's fields, a
     split in SPLITS and a relative path without a `..` part, since the path
-    is opened under `corpus_dir`; any other line raises FormatError.
+    is opened under `corpus_dir`, that no earlier line lists; any other line
+    raises FormatError.
     """
     path = Path(corpus_dir) / "index.jsonl"
     if not path.exists():
         raise FormatError(f"no corpus index at {path}")
     names = {f.name for f in fields(SampleRecord)}
-    records = []
+    records, lines_of = [], {}
     for n, line in enumerate(path.read_bytes().splitlines(), start=1):
         try:
             entry = json.loads(line)
@@ -361,6 +389,9 @@ def load_index(corpus_dir) -> list:
         rel = entry["path"]
         if not isinstance(rel, str) or Path(rel).is_absolute() or ".." in Path(rel).parts:
             raise FormatError(f"{path} line {n} has path {rel!r}, not one inside the corpus")
+        first = lines_of.setdefault(Path(rel), n)
+        if first != n:
+            raise FormatError(f"{path} line {n} has path {rel!r}, which line {first} already lists")
         records.append(SampleRecord(**entry))
     return records
 

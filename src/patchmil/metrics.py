@@ -12,13 +12,15 @@ import math
 
 import numpy as np
 
+from .data import CLASS_NAMES
 from .errors import ContractViolation
 
 METRIC_NAMES = ("acc", "f1", "mcc", "precision")
 
 
-def confusion(preds, labels, n_classes: int = 7) -> np.ndarray:
-    """Confusion matrix with rows = true class, columns = predicted class."""
+def confusion(preds, labels) -> np.ndarray:
+    """Confusion matrix over the corpus classes: rows = true class, columns = predicted."""
+    n_classes = len(CLASS_NAMES)
     preds = np.asarray(preds, dtype=np.int64)
     labels = np.asarray(labels, dtype=np.int64)
     if preds.shape != labels.shape:
@@ -68,8 +70,8 @@ def classification_metrics(cm: np.ndarray) -> dict:
     }
 
 
-def metrics_from_predictions(preds, labels, n_classes: int = 7) -> dict:
-    return classification_metrics(confusion(preds, labels, n_classes))
+def metrics_from_predictions(preds, labels) -> dict:
+    return classification_metrics(confusion(preds, labels))
 
 
 def report_json(rows: dict) -> str:

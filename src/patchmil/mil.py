@@ -22,6 +22,7 @@ import numpy as np
 from . import tensor as T
 from .backbone import (_layernorm, _linear, _linear_init, block_init, feed_forward,
                        multihead_attention)
+from .data import CLASS_NAMES
 from .errors import ConfigError, ContractViolation
 from .tensor import Adam, Tensor
 
@@ -52,7 +53,7 @@ class Bag:
 @dataclass(frozen=True)
 class MILConfig:
     feature_dim: int = 128
-    n_classes: int = 7
+    n_classes: int = len(CLASS_NAMES)
     heads: int = 4
     use_position_bias: bool = True
     pooling: str = "adaptive"

@@ -8,7 +8,8 @@ images at a time, one process per available CPU (`parallel.fork_map`), so its
 pixels are never all in memory at once and the embeddings are those of the
 same blocks embedded one after another.
 `finetune_mil` trains the encoder and a MIL head end to end with
-`mil.train_epochs`, the loop that `mil.train_mil` uses on frozen bags.
+`mil.train_epochs`, the loop that `mil.train_mil` uses on frozen bags, for
+the epochs and batch size of its `MILConfig`.
 
 `ablation` is the one copy of the paper's ablation protocol, run by both
 `patchmil ablate` and the acceptance gate's desk experiment: linear probes of
@@ -44,6 +45,7 @@ LOSS_ROWS = (
 )
 ABLATION_STAGES = ("probes", "ssl", "finetune", "bags", "mil")
 FINETUNE_LR = 3e-3
+FINETUNE_BATCH = 8  # images per fine-tune step of `ablation`
 # Patches per encoder batch of `embed_patches`, and per block of `_embed_split`.
 # A 128-patch batch needs 14 MB at the desk arch; a split's blocks are embedded
 # in forked children, so that memory is a child's, one block per child.
@@ -146,26 +148,23 @@ def finetune_mil(
     init_params: dict,
     arch: bb.ArchConfig,
     cfg: ML.MILConfig,
-    epochs: int = 20,
-    batch_size: int = 8,
     lr: float = FINETUNE_LR,
     progress=None,
 ):
     """Train encoder and MIL head end to end with cross-entropy on bags.
 
     Starts from `init_params` (typically pretrained encoder weights) and runs
-    `mil.train_epochs` on full batches of training images, one permutation
-    per epoch. Keeps the parameters of the epoch with the best validation
-    accuracy and returns (encoder params, MIL params, history); the history
-    records, also passed to `progress(record)`, have no train_acc.
+    `mil.train_epochs` for `cfg.epochs` epochs on full batches of
+    `cfg.batch_size` training images, one permutation per epoch. Keeps the
+    parameters of the epoch with the best validation accuracy and returns
+    (encoder params, MIL params, history); the history records, also passed
+    to `progress(record)`, have no train_acc.
     """
     cfg.validate()
-    if batch_size < 1:
-        raise ConfigError(f"fine-tune batch size must be at least 1, got {batch_size}")
     images, labels, _ = D.load_split(corpus_dir, "train")
-    if batch_size > len(images):  # no full batch: the fine-tune would take no step
+    if cfg.batch_size > len(images):  # no full batch: the fine-tune would take no step
         raise ConfigError(
-            f"fine-tune batch size {batch_size} exceeds the {len(images)} training images"
+            f"fine-tune batch size {cfg.batch_size} exceeds the {len(images)} training images"
         )
     val_images, val_labels, _ = D.load_split(corpus_dir, "val")
     _, per_image, positions = image_patches(images[:1], arch.side)
@@ -183,8 +182,8 @@ def finetune_mil(
 
     def batches():
         order = rng.permutation(len(images))
-        for start in range(0, len(order) - batch_size + 1, batch_size):
-            idx = order[start : start + batch_size]
+        for start in range(0, len(order) - cfg.batch_size + 1, cfg.batch_size):
+            idx = order[start : start + cfg.batch_size]
             yield forward(images[idx]), labels[idx]
 
     def scores():
@@ -194,7 +193,7 @@ def finetune_mil(
                 preds.extend(np.argmax(forward(val_images[start : start + 32]).numpy(), axis=1))
         return {"val_acc": float((np.array(preds) == val_labels).mean())}
 
-    history = ML.train_epochs(trainable, lr, epochs, batches, scores, progress)
+    history = ML.train_epochs(trainable, lr, cfg.epochs, batches, scores, progress)
     return encoder, mil_params, history
 
 
@@ -250,7 +249,8 @@ def ablation(corpus_dir, ssl_cfg: S.SSLConfig, mil_cfg: ML.MILConfig,
     """Run the loss and pooling ablations; returns (report, stage_seconds).
 
     Each row sets the loss terms of `ssl_cfg` and the pooling and position
-    bias of `mil_cfg`; the fine-tune uses adaptive pooling with the bias.
+    bias of `mil_cfg`; the fine-tune uses adaptive pooling with the bias,
+    `finetune_epochs` epochs and `FINETUNE_BATCH` images a step.
     `stage_seconds` maps each of `ABLATION_STAGES` to its wall seconds.
     """
     arch = ssl_cfg.arch
@@ -269,10 +269,9 @@ def ablation(corpus_dir, ssl_cfg: S.SSLConfig, mil_cfg: ML.MILConfig,
                 corpus_dir, state.student, arch
             )
     with _timed(seconds, "finetune"):  # `state` is the last row's: the full loss
-        ft_cfg = dataclasses.replace(mil_cfg, pooling="adaptive", use_position_bias=True)
-        encoder, _, _ = finetune_mil(
-            corpus_dir, state.student, arch, ft_cfg, epochs=finetune_epochs, lr=finetune_lr
-        )
+        ft_cfg = dataclasses.replace(mil_cfg, pooling="adaptive", use_position_bias=True,
+                                     epochs=finetune_epochs, batch_size=FINETUNE_BATCH)
+        encoder, _, _ = finetune_mil(corpus_dir, state.student, arch, ft_cfg, lr=finetune_lr)
     with _timed(seconds, "bags"):
         bags, _ = frozen_bags(corpus_dir, encoder, arch)
     with _timed(seconds, "mil"):

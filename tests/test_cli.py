@@ -126,6 +126,30 @@ class TestUsageErrors:
     def test_probe_needs_weights_source(self, corpus):
         assert main(["linear-probe", "--corpus", str(corpus)]) == 2
 
+    def test_probe_takes_one_weights_source(self, corpus, tmp_path, capsys):
+        argv = ["linear-probe", "--corpus", str(corpus), "--random-init",
+                "--checkpoint", str(tmp_path / "nonexistent")]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            "usage error: linear-probe takes --checkpoint or --random-init, not both\n"
+        )
+
+    @pytest.mark.parametrize("command, flag, value, required", [
+        ("evaluate", "seed", "1", ["--mil-run", "r"]),
+        ("export-attention", "seed", "1", ["--mil-run", "r", "--out", "a"]),
+        ("linear-probe", "parts", "2", ["--random-init"]),
+    ])
+    def test_flags_that_changed_nothing_are_refused(
+        self, corpus, tmp_path, capsys, command, flag, value, required
+    ):
+        argv = [command, "--corpus", str(corpus), *required]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + [f"--{flag}", value])
+        assert exc.value.code == 2
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({flag: int(value)}))
+        assert main(argv + ["--config", str(path)]) == 2
+        assert f"sets {flag}, which '{command}' has no flag for" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["pretrain", "train-mil", "ablate"])
     @pytest.mark.parametrize(
@@ -196,6 +220,14 @@ class TestGenerateData:
         err = capsys.readouterr().err
         assert err.startswith("error: bad split counts") and err.count("\n") == 1
         assert not out.exists() or not any(out.iterdir())
+
+    def test_repeated_magnification_refused_before_any_file(self, tmp_path, capsys):
+        out = tmp_path / "c"
+        argv = ["generate-data", "--counts", "2,1,1", "--magnifications", "10,10", "--side", "32",
+                "--out", str(out)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "error: repeated magnifications [10]\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("flag, value", [("--counts", "2,x,1"), ("--counts", "2,,1"),
                                              ("--magnifications", "10,y")])

@@ -179,6 +179,17 @@ class TestCheckpoint:
         back, _ = D.load_checkpoint(ckpt)
         assert back["student"]["a"].data.tolist() == [1.0, 1.0]
 
+    def test_flipped_payload_bit_is_refused(self, tmp_path):
+        ckpt = tmp_path / "ckpt"
+        D.save_checkpoint(ckpt, {"student": {"w": T.parameter(np.array([11.0], np.float32))}})
+        path = ckpt / "student__w.ftc"
+        raw = bytearray(path.read_bytes())
+        raw[-3] ^= 0x40  # the float32 11.0 reads back as 11.015625
+        path.write_bytes(bytes(raw))
+        assert D.read_tensor(path)[0].tolist() == [11.015625]
+        with pytest.raises(FormatError, match=re.escape(f"checksum mismatch in {path}")):
+            D.load_checkpoint(ckpt)
+
     @pytest.mark.parametrize(
         "manifest",
         [
@@ -193,9 +204,12 @@ class TestCheckpoint:
             '{"groups": {"student": ["a\\\\b"]}}',
             '{"groups": {"student": [""]}}',
             '{"groups": {"student": [3]}}',
+            '{"groups": {"student": ["w"]}, "meta": {}}',  # saved before checksums were
+            '{"groups": {"student": ["w"]}, "crc32": {"student__w.ftc": "0"}}',
         ],
         ids=["not-json", "list", "no-groups", "groups-list", "names-string", "absolute-group",
-             "dotdot-group", "dotdot-name", "backslash-name", "empty-name", "int-name"],
+             "dotdot-group", "dotdot-name", "backslash-name", "empty-name", "int-name",
+             "no-checksums", "string-checksum"],
     )
     def test_malformed_or_hostile_manifest(self, tmp_path, manifest):
         ckpt = tmp_path / "ckpt"
@@ -243,9 +257,12 @@ class TestCorpus:
             json.dumps({**RECORD, "path": "../outside.ftc"}),
             json.dumps({**RECORD, "path": "train/../../outside.ftc"}),
             json.dumps({**RECORD, "path": 3}),
+            json.dumps({**RECORD, "image_id": "brain_10x_0001"}),
+            json.dumps({**RECORD, "image_id": "brain_10x_0001", "path": "./" + RECORD["path"]}),
         ],
         ids=["not-json", "list", "missing-field", "unknown-field", "unknown-split",
-             "absolute-path", "dotdot-path", "inner-dotdot-path", "int-path"],
+             "absolute-path", "dotdot-path", "inner-dotdot-path", "int-path", "repeated-path",
+             "repeated-dot-path"],
     )
     def test_malformed_or_hostile_index_line(self, tmp_path, line):
         (tmp_path / "index.jsonl").write_text(json.dumps(RECORD) + "\n" + line + "\n")

@@ -45,15 +45,16 @@ def brute_force_metrics(cm):
 
 class TestConfusion:
     def test_diagonal_when_perfect(self):
-        cm = MM.confusion([0, 1, 2, 2], [0, 1, 2, 2], n_classes=3)
-        assert np.array_equal(cm, np.diag([1, 1, 2]))
+        cm = MM.confusion([0, 1, 2, 2], [0, 1, 2, 2])
+        assert np.array_equal(cm, np.diag([1, 1, 2, 0, 0, 0, 0]))
 
     def test_empty_input_gives_zero_matrix(self):
-        assert MM.confusion([], [], n_classes=3).sum() == 0
+        cm = MM.confusion([], [])
+        assert cm.shape == (7, 7) and cm.sum() == 0
 
     def test_swapped_pair(self):
-        cm = MM.confusion([0, 1], [1, 0], n_classes=2)
-        assert cm[1, 0] == 1 and cm[0, 1] == 1 and cm.trace() == 0
+        cm = MM.confusion([0, 6], [6, 0])
+        assert cm[6, 0] == 1 and cm[0, 6] == 1 and cm.trace() == 0 and cm.sum() == 2
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ContractViolation):

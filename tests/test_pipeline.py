@@ -1,5 +1,6 @@
 """Image tiling/embedding glue and the linear probe."""
 
+import dataclasses
 import re
 import shutil
 import tracemalloc
@@ -256,19 +257,37 @@ class TestFinetune:
         D.generate_corpus(cfg, tmp_path / "c")
         mil_cfg = ML.MILConfig(feature_dim=ARCH.feature_dim, heads=2, seed=0)
         records = []
-        _, _, history = P.finetune_mil(tmp_path / "c", params, ARCH, mil_cfg, epochs=3,
-                                       batch_size=4, progress=records.append)
+        _, _, history = P.finetune_mil(tmp_path / "c", params, ARCH,
+                                       dataclasses.replace(mil_cfg, epochs=3, batch_size=4),
+                                       progress=records.append)
         assert [h["epoch"] for h in history] == [0, 1, 2]
         assert records == history
         assert all(set(r) == {"epoch", "loss", "val_acc"} for r in records)
 
+    def test_budget_comes_from_the_config(self, tmp_path, params, monkeypatch):
+        cfg = D.CorpusConfig(counts=(2, 1, 1), magnifications=(10,), side=32, seed=0)
+        D.generate_corpus(cfg, tmp_path / "c")
+        mil_cfg = ML.MILConfig(feature_dim=ARCH.feature_dim, heads=2, epochs=2, batch_size=4,
+                               seed=0)
+        sizes, cross_entropy = [], ML.cross_entropy
+
+        def spy(logits, labels):
+            sizes.append(len(labels))
+            return cross_entropy(logits, labels)
+
+        monkeypatch.setattr(ML, "cross_entropy", spy)
+        _, _, history = P.finetune_mil(tmp_path / "c", params, ARCH, mil_cfg)
+        assert [h["epoch"] for h in history] == [0, 1]
+        # 14 training images: three full batches of 4 per epoch
+        assert sizes == [4, 4, 4] * 2
 
     def test_batch_size_below_one_is_config_error(self, tmp_path, params):
         cfg = D.CorpusConfig(counts=(2, 1, 1), magnifications=(10,), side=32, seed=0)
         D.generate_corpus(cfg, tmp_path / "c")
         mil_cfg = ML.MILConfig(feature_dim=ARCH.feature_dim, heads=2, seed=0)
         with pytest.raises(ConfigError, match="at least 1, got 0"):
-            P.finetune_mil(tmp_path / "c", params, ARCH, mil_cfg, epochs=1, batch_size=0)
+            P.finetune_mil(tmp_path / "c", params, ARCH,
+                           dataclasses.replace(mil_cfg, epochs=1, batch_size=0))
 
 
 class TestLinearProbe:
