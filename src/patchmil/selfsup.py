@@ -47,9 +47,9 @@ class LossWeights:
 
     def validate(self):
         if not 0.0 <= self.momentum < 1.0:
-            raise ContractViolation(f"momentum must be in [0, 1), got {self.momentum}")
+            raise ConfigError(f"momentum must be in [0, 1), got {self.momentum}")
         if self.epsilon <= 0:
-            raise ContractViolation("epsilon must be positive")
+            raise ConfigError(f"epsilon must be positive, got {self.epsilon}")
 
 
 @dataclass(frozen=True)

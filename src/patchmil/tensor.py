@@ -1,13 +1,18 @@
 """Dense tensors with reverse-mode automatic differentiation.
 
-A Tensor wraps a numpy array and, when it participates in a graph rooted at
-tensors with ``requires_grad=True``, records enough information to run
-backpropagation from a scalar output. The kernel set is deliberately small:
-matmul (of operands with 2 or more dims), conv2d (unfold + matmul),
-elementwise arithmetic, ReLU/GELU/tanh/sigmoid/exp/log/sqrt/pow, axis
-reductions, softmax, l2_normalize, concat, roll, transpose/reshape/slicing.
-A constant operand of a binary op is not a parent of the op's tape node and
-gets no gradient.
+A Tensor wraps a numpy array (its value). When it is tracked, that is when it
+requires grad or an op made it from a tracked operand, it also holds a tape
+node: its parents' nodes, its backward closure and its op name. The tape is
+made of nodes only, never of values: each backward closure keeps the arrays
+or shapes its gradient reads (a product keeps its operands, exp its output,
+a sum its input's shape), so a value that no backward reads is freed as soon
+as the forward drops its Tensor. A leaf's node refers to its Tensor weakly,
+so a parameter and its node form no reference cycle. The kernel set is
+deliberately small: matmul (of operands with 2 or more dims), conv2d
+(unfold + matmul), elementwise arithmetic, ReLU/GELU/tanh/sigmoid/exp/log/
+sqrt/pow, axis reductions, softmax, l2_normalize, concat, roll,
+transpose/reshape/slicing. A constant operand of a binary op is not a parent
+of the op's tape node and gets no gradient.
 
 `no_grad()` switches the tape off for forward-only passes. `Adam` (constant
 betas, eps and weight decay) is the one optimizer of every training loop.
@@ -21,6 +26,7 @@ from __future__ import annotations
 
 import contextlib
 import math
+import weakref
 from typing import Callable, Sequence
 
 import numpy as np
@@ -80,22 +86,49 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     return grad.reshape(shape)
 
 
+class _Node:
+    """One tape entry: the parents' nodes, the backward closure and the op name.
+
+    `backward(g)` returns one gradient (or None) per parent; a parent that
+    is off the tape (a constant input of concat) is None. A leaf's node has
+    no parents and no backward, and `leaf` is a weak reference to its Tensor.
+    """
+
+    __slots__ = ("parents", "backward", "op", "leaf")
+
+    def __init__(self, parents: tuple, backward, op: str, leaf=None):
+        self.parents, self.backward, self.op, self.leaf = parents, backward, op, leaf
+
+
 class Tensor:
     """A dense n-dimensional value, optionally tracked on the gradient tape."""
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward", "_op")
+    __slots__ = ("data", "grad", "_node", "__weakref__")
 
-    def __init__(self, data, requires_grad: bool = False, *, _parents=(), _op="leaf"):
+    def __init__(self, data, requires_grad: bool = False):
         if isinstance(data, Tensor):
             data = data.data
         self.data = _as_array(data)
-        self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
-        self._parents: tuple = _parents
-        self._backward: Callable[[np.ndarray], None] | None = None
-        self._op = _op
+        self._node: _Node | None = (
+            _Node((), None, "leaf", weakref.ref(self)) if requires_grad else None
+        )
 
     # -- introspection -----------------------------------------------------
+
+    @property
+    def requires_grad(self) -> bool:
+        """True for a leaf whose gradient backward() accumulates into .grad."""
+        return self._node is not None and self._node.leaf is not None
+
+    @property
+    def _backward(self) -> Callable[[np.ndarray], tuple] | None:
+        """The backward closure of this Tensor's node; None off the tape and at a leaf."""
+        return None if self._node is None else self._node.backward
+
+    @_backward.setter
+    def _backward(self, fn) -> None:
+        self._node.backward = fn
 
     @property
     def shape(self) -> tuple:
@@ -116,16 +149,16 @@ class Tensor:
         return self.data
 
     def __repr__(self):
-        return f"Tensor(shape={self.shape}, op={self._op}, requires_grad={self.requires_grad})"
+        op = "const" if self._node is None else self._node.op
+        return f"Tensor(shape={self.shape}, op={op}, requires_grad={self.requires_grad})"
 
     # -- graph construction ------------------------------------------------
 
     @staticmethod
     def _make(data, parents, op, backward) -> "Tensor":
-        tracked = _GRAD_ENABLED and any(_on_tape(p) for p in parents)
-        out = Tensor(data, _parents=tuple(parents) if tracked else (), _op=op)
-        if tracked:
-            out._backward = backward
+        out = Tensor(data)
+        if _GRAD_ENABLED and any(_on_tape(p) for p in parents):
+            out._node = _Node(tuple(p._node for p in parents), backward, op)
         return out
 
     # -- backward ----------------------------------------------------------
@@ -141,16 +174,18 @@ class Tensor:
             raise ContractViolation(
                 f"backward requires a scalar output, got shape {self.shape}"
             )
+        if self._node is None:
+            return
         topo = self._topological_order()
         if not self._walk(topo, check_edges=False):
             self._walk(topo, check_edges=True)
             raise NumericError("NaN gradient reached a parameter")
 
     def _topological_order(self) -> list:
-        """Every node reachable from this one, each after all of its parents."""
-        topo: list[Tensor] = []
+        """Every node reachable from this Tensor's, each after all of its parents."""
+        topo: list[_Node] = []
         seen: set[int] = set()
-        stack = [(self, False)]
+        stack = [(self._node, False)]
         while stack:
             node, processed = stack.pop()
             if processed:
@@ -160,8 +195,8 @@ class Tensor:
                 continue
             seen.add(id(node))
             stack.append((node, True))
-            for parent in node._parents:
-                if id(parent) not in seen:
+            for parent in node.parents:
+                if parent is not None and id(parent) not in seen:
                     stack.append((parent, False))
         return topo
 
@@ -172,22 +207,26 @@ class Tensor:
         False at the first leaf whose gradient holds a NaN. With it, leave
         .grad alone and raise NumericError at the first edge that carries one.
         """
-        grads: dict[int, np.ndarray] = {id(self): np.ones_like(self.data)}
+        grads: dict[int, np.ndarray] = {id(self._node): np.ones_like(self.data)}
         for node in reversed(topo):
             g = grads.pop(id(node), None)
             if g is None:
                 continue
-            if node.requires_grad and not check_edges:
+            if node.leaf is not None and not check_edges:
                 if np.isnan(g).any():
                     return False
-                node.grad = g if node.grad is None else node.grad + g
-            if node._backward is None:
+                leaf = node.leaf()  # None once the parameter is gone: its gradient has no reader
+                if leaf is not None:
+                    leaf.grad = g if leaf.grad is None else leaf.grad + g
+            if node.backward is None:
                 continue
-            for parent, pg in zip(node._parents, node._backward(g)):
+            for parent, pg in zip(node.parents, node.backward(g)):
                 if pg is None:
                     continue
                 if check_edges and np.isnan(pg).any():
-                    raise NumericError(f"NaN gradient produced in op '{node._op}'")
+                    raise NumericError(f"NaN gradient produced in op '{node.op}'")
+                if parent is None:
+                    continue
                 key = id(parent)
                 if key in grads:
                     grads[key] = grads[key] + pg
@@ -331,13 +370,14 @@ class Adam:
 
 
 def _on_tape(t: Tensor) -> bool:
-    return t.requires_grad or bool(t._parents)
+    return t._node is not None
 
 
 def _binary(data, a: Tensor, b: Tensor, op: str, grad_a, grad_b) -> Tensor:
     """Tape node of a binary op whose operand gradients are grad_a(g) and grad_b(g).
 
-    An operand off the tape (a Python number, an array, a constant Tensor)
+    grad_a and grad_b close over arrays and shapes, never over a and b. An
+    operand off the tape (a Python number, an array, a constant Tensor)
     is no parent of the node, and its gradient is never computed.
     """
     if not _on_tape(b):
@@ -349,37 +389,43 @@ def _binary(data, a: Tensor, b: Tensor, op: str, grad_a, grad_b) -> Tensor:
 
 def add(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
+    sa, sb = a.shape, b.shape
     return _binary(a.data + b.data, a, b, "add",
-                   lambda g: _unbroadcast(g, a.shape), lambda g: _unbroadcast(g, b.shape))
+                   lambda g: _unbroadcast(g, sa), lambda g: _unbroadcast(g, sb))
 
 
 def sub(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
+    sa, sb = a.shape, b.shape
     return _binary(a.data - b.data, a, b, "sub",
-                   lambda g: _unbroadcast(g, a.shape), lambda g: _unbroadcast(-g, b.shape))
+                   lambda g: _unbroadcast(g, sa), lambda g: _unbroadcast(-g, sb))
 
 
 def mul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    return _binary(a.data * b.data, a, b, "mul",
-                   lambda g: _unbroadcast(g * b.data, a.shape),
-                   lambda g: _unbroadcast(g * a.data, b.shape))
+    x, y = a.data, b.data
+    sa, sb = x.shape, y.shape
+    return _binary(x * y, a, b, "mul",
+                   lambda g: _unbroadcast(g * y, sa), lambda g: _unbroadcast(g * x, sb))
 
 
 def div(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    return _binary(a.data / b.data, a, b, "div",
-                   lambda g: _unbroadcast(g / b.data, a.shape),
-                   lambda g: _unbroadcast(-g * a.data / (b.data * b.data), b.shape))
+    x, y = a.data, b.data
+    sa, sb = x.shape, y.shape
+    return _binary(x / y, a, b, "div",
+                   lambda g: _unbroadcast(g / y, sa),
+                   lambda g: _unbroadcast(-g * x / (y * y), sb))
 
 
 def power(a, exponent: float) -> Tensor:
     a = as_tensor(a)
     exponent = float(exponent)
-    data = a.data**exponent
+    x = a.data
+    data = x**exponent
 
     def backward(g):
-        return (g * exponent * a.data ** (exponent - 1.0),)
+        return (g * exponent * x ** (exponent - 1.0),)
 
     return Tensor._make(data, (a,), "pow", backward)
 
@@ -396,10 +442,11 @@ def exp(a) -> Tensor:
 
 def log(a) -> Tensor:
     a = as_tensor(a)
-    data = np.log(a.data)
+    x = a.data
+    data = np.log(x)
 
     def backward(g):
-        return (g / a.data,)
+        return (g / x,)
 
     return Tensor._make(data, (a,), "log", backward)
 
@@ -431,15 +478,16 @@ _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 def gelu(a) -> Tensor:
     a = as_tensor(a)
-    cdf = a.data * _INV_SQRT2  # 0.5 * (1 + erf(x / sqrt 2)), built in place
+    x = a.data
+    cdf = x * _INV_SQRT2  # 0.5 * (1 + erf(x / sqrt 2)), built in place
     _erf(cdf, out=cdf)
     cdf += 1.0
     cdf *= 0.5
-    data = a.data * cdf
+    data = x * cdf
 
     def backward(g):
-        pdf = _INV_SQRT2PI * np.exp(-0.5 * a.data * a.data)
-        return (g * (cdf + a.data * pdf),)
+        pdf = _INV_SQRT2PI * np.exp(-0.5 * x * x)
+        return (g * (cdf + x * pdf),)
 
     return Tensor._make(data, (a,), "gelu", backward)
 
@@ -482,13 +530,14 @@ def _norm_axis(axis, ndim):
 def reduce_sum(a, axis=None, keepdims=False) -> Tensor:
     a = as_tensor(a)
     axis = _norm_axis(axis, a.ndim)
+    shape = a.shape
     data = a.data.sum(axis=axis, keepdims=keepdims)
 
     def backward(g):
         g = np.asarray(g)
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g, a.shape).copy(),)
+        return (np.broadcast_to(g, shape).copy(),)
 
     return Tensor._make(data, (a,), "sum", backward)
 
@@ -496,22 +545,20 @@ def reduce_sum(a, axis=None, keepdims=False) -> Tensor:
 def reduce_mean(a, axis=None, keepdims=False) -> Tensor:
     a = as_tensor(a)
     axis_n = _norm_axis(axis, a.ndim)
-    if axis_n is None:
-        count = a.size
-    else:
-        count = int(np.prod([a.shape[ax] for ax in axis_n]))
+    count = a.size if axis_n is None else math.prod(a.shape[ax] for ax in axis_n)
     return reduce_sum(a, axis=axis, keepdims=keepdims) * (1.0 / count)
 
 
 def reduce_max(a, axis: int, keepdims=False) -> Tensor:
     a = as_tensor(a)
     axis = axis % a.ndim
-    data = a.data.max(axis=axis, keepdims=keepdims)
+    x = a.data
+    data = x.max(axis=axis, keepdims=keepdims)
 
     def backward(g):
         g = np.asarray(g)
         expanded = data if keepdims else np.expand_dims(data, axis)
-        mask = (a.data == expanded).astype(a.data.dtype)
+        mask = (x == expanded).astype(x.dtype)
         # split ties evenly so the gradient check stays honest
         mask /= mask.sum(axis=axis, keepdims=True)
         gexp = g if keepdims else np.expand_dims(g, axis)
@@ -564,10 +611,11 @@ def l2_normalize(a, axis: int = -1) -> Tensor:
 
 def reshape(a, shape) -> Tensor:
     a = as_tensor(a)
+    shape_in = a.shape
     data = a.data.reshape(shape)
 
     def backward(g):
-        return (g.reshape(a.shape),)
+        return (g.reshape(shape_in),)
 
     return Tensor._make(data, (a,), "reshape", backward)
 
@@ -642,10 +690,11 @@ def take(a, idx) -> Tensor:
     `g` in place; an advanced index may repeat positions and uses `np.add.at`.
     """
     a = as_tensor(a)
+    shape, dtype = a.shape, a.data.dtype
     data = a.data[idx]
 
     def backward(g):
-        out = np.zeros_like(a.data)
+        out = np.zeros(shape, dtype)
         if _is_basic_index(idx):
             out[idx] += g
         else:
@@ -681,9 +730,11 @@ def matmul(a, b) -> Tensor:
         raise ContractViolation(f"matmul needs >=2-d operands, got {a.shape} @ {b.shape}")
     if a.shape[-1] != b.shape[-2]:
         raise ContractViolation(f"matmul shape mismatch: {a.shape} @ {b.shape}")
-    return _binary(np.matmul(a.data, b.data), a, b, "matmul",
-                   lambda g: _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape),
-                   lambda g: _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.shape))
+    x, y = a.data, b.data
+    sa, sb = x.shape, y.shape
+    return _binary(np.matmul(x, y), a, b, "matmul",
+                   lambda g: _unbroadcast(np.matmul(g, np.swapaxes(y, -1, -2)), sa),
+                   lambda g: _unbroadcast(np.matmul(np.swapaxes(x, -1, -2), g), sb))
 
 
 def unfold(a, kernel: int, stride: int = 1, pad: int = 0) -> Tensor:

@@ -121,7 +121,7 @@ class TestGlobalEmbed:
         tp = B.clone_as_teacher(params)
         m = B.embed_patch(np.random.default_rng(7).uniform(size=(1, 32, 32, 3)), tp, CFG)
         z = B.global_embed(m, teacher)
-        assert z._parents == () and z._backward is None
+        assert z._node is None and z._backward is None
 
 
 class TestPartAttention:

@@ -171,6 +171,21 @@ class TestUsageErrors:
         assert not run.exists()
 
     @pytest.mark.parametrize("command", ["pretrain", "ablate"])
+    @pytest.mark.parametrize(
+        "flag, value, says",
+        [("--momentum", "1.5", "momentum must be in [0, 1), got 1.5"),
+         ("--epsilon", "0", "epsilon must be positive, got 0.0")],
+        ids=["momentum-1.5", "epsilon-0"],
+    )
+    def test_loss_weight_out_of_range_is_usage_error(
+        self, corpus, tmp_path, capsys, command, flag, value, says
+    ):
+        run = tmp_path / "r"
+        assert main([command, "--corpus", str(corpus), "--out", str(run), flag, value]) == 2
+        assert capsys.readouterr().err == f"usage error: {says}\n"
+        assert not run.exists()
+
+    @pytest.mark.parametrize("command", ["pretrain", "ablate"])
     def test_ssl_batch_of_one_is_usage_error(self, corpus, tmp_path, capsys, command):
         run = tmp_path / "r"
         assert main([command, "--corpus", str(corpus), "--out", str(run), "--batch-size", "1"]) == 2

@@ -116,7 +116,7 @@ class TestEmbedding:
 
         monkeypatch.setattr(bb, "embed_patch", spy)
         emb = P.embed_patches(patches, params, ARCH)
-        assert outputs and all(o._backward is None and o._parents == () for o in outputs)
+        assert outputs and all(o._node is None and o._backward is None for o in outputs)
         assert emb.tobytes() == taped.numpy().tobytes()
 
     def test_image_patches_counts(self):

@@ -341,14 +341,14 @@ class TestLossGradients:
 
 
 def tape_nodes(root):
-    """Tape nodes (op outputs with a backward) reachable from `root`."""
-    seen, stack, count = set(), [root], 0
+    """Tape nodes (op nodes with a backward) reachable from `root`'s node."""
+    seen, stack, count = set(), [root._node], 0
     while stack:
         node = stack.pop()
-        if id(node) not in seen:
+        if node is not None and id(node) not in seen:
             seen.add(id(node))
-            count += node._backward is not None
-            stack.extend(node._parents)
+            count += node.backward is not None
+            stack.extend(node.parents)
     return count
 
 

@@ -1,6 +1,8 @@
 """Autodiff core: analytic oracles plus finite-difference gradient checks."""
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -410,9 +412,73 @@ class TestLeanTape:
     def test_constant_operand_is_no_parent(self):
         p = T.parameter(np.ones((2, 3)))
         const = T.Tensor(np.ones((3, 4)))
-        assert (p * 2.0)._parents == (p,)
-        assert (2.0 - p)._parents == (p,)
-        assert (p @ const)._parents == (p,)
+        assert (p * 2.0)._node.parents == (p._node,)
+        assert (2.0 - p)._node.parents == (p._node,)
+        assert (p @ const)._node.parents == (p._node,)
+
+    def test_a_value_no_backward_reads_is_freed(self):
+        x, w, b, up = (rng().normal(size=s) for s in ((3, 4), (4, 5), (5,), (3, 5)))
+        grads = []
+        for composed in (True, False):
+            params = [T.parameter(v) for v in (x, w, b)]
+            px, pw, pb = params
+            if composed:
+                loss = ((px @ pw + pb) * T.Tensor(up)).sum()
+            else:
+                h = px @ pw
+                h_data = weakref.ref(h.data)
+                y = h + pb
+                u = T.Tensor(up)
+                u_data = weakref.ref(u.data)
+                loss = (y * u).sum()
+                del h, y, u
+                assert h_data() is None  # add's backward reads only shapes
+                assert u_data() is not None  # mul's backward reads the other operand
+            loss.backward()
+            grads.append([p.grad for p in params])
+        for got, want in zip(grads[1], grads[0]):
+            assert got.tobytes() == want.tobytes()
+
+    def test_no_backward_closure_holds_a_tensor(self):
+        p = T.parameter(rng().uniform(0.5, 1.5, size=(2, 4, 4, 3)))
+        w = T.parameter(rng().normal(size=(3, 3, 3, 4)))
+        h = T.conv2d(T.pad2d(p, 1), w, stride=2)
+        h = T.concat([T.gelu(h), T.relu(h), T.Tensor(np.ones(h.shape))], axis=-1)
+        h = T.softmax(T.roll(h, 1, axis=1), axis=-1) + T.tanh(h) * T.sigmoid(h) - T.exp(-h)
+        h = T.transpose(T.reshape(h, (2, -1)), (1, 0))[1:] / T.sqrt(T.log(p * p + 1.0).sum())
+        loss = T.reduce_max(T.l2_normalize(h, axis=0) ** 2.0, axis=0).mean()
+
+        def cells(fn):
+            for cell in getattr(fn, "__closure__", None) or ():
+                value = cell.cell_contents
+                yield value
+                if callable(value):  # _binary's lambdas close over grad_a and grad_b
+                    yield from cells(value)
+
+        seen, stack = set(), [loss._node]
+        while stack:
+            node = stack.pop()
+            if node is None or id(node) in seen:
+                continue
+            seen.add(id(node))
+            held = list(cells(node.backward))
+            held += [v for c in held if isinstance(c, (list, tuple)) for v in c]
+            assert not any(isinstance(v, T.Tensor) for v in held), node.op
+            stack.extend(node.parents)
+        assert len(seen) > 30
+
+    def test_dropped_parameter_is_freed_without_gc(self):
+        gc.disable()
+        try:
+            p = T.parameter(rng().normal(size=(3, 4)))
+            opt = T.Adam({"p": p})
+            (p * p).sum().backward()
+            opt.step(0.1)
+            data, flat = weakref.ref(p.data), weakref.ref(opt._theta)
+            del p, opt
+            assert data() is None and flat() is None
+        finally:
+            gc.enable()
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_scalar_mul_equals_tensor_scalar_mul(self, dtype):
@@ -468,7 +534,7 @@ class TestNoGrad:
         p = T.parameter(rng().normal(size=(2, 3)))
         with T.no_grad():
             y = T.softmax(T.gelu(p @ T.Tensor(np.ones((3, 4)))), axis=0).sum()
-        assert y._parents == () and y._backward is None and not y.requires_grad
+        assert y._node is None and y._backward is None and not y.requires_grad
 
     def test_values_equal_taped_forward(self):
         p = T.parameter(rng().normal(size=(2, 5, 5, 3)))
