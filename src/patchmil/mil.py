@@ -7,8 +7,10 @@ across instances per output coordinate and averages over them. A linear
 classifier on the pooled bag vector is trained with cross-entropy at `LR`.
 Max/mean/soft/gated-attention poolings are kept as ablation baselines. The
 head takes batches of bags, (B, I, C) instances, and stacks a list of bags of
-one instance count once; `classify_bag` and `attention_report` score one `Bag`
-as a batch of one, and `attention_report` exports the map `msa_refine` returns.
+one instance count once. A stack is scored off the tape `SCORE_CHUNK` bags per
+forward, so a scoring pass holds one chunk's activations whatever the split's
+size; `classify_bag` and `attention_report` score one `Bag` as a batch of one,
+and `attention_report` exports the map `msa_refine` returns.
 `train_epochs` is the one supervised epoch loop, for `train_mil` on frozen
 bags and for `pipeline.finetune_mil` end to end.
 """
@@ -29,6 +31,10 @@ from .tensor import Adam, Tensor
 POOLING_KINDS = ("adaptive", "max", "mean", "soft", "gated_attention")
 LR = 1e-3  # train_mil's Adam step size
 BIAS_RADIUS = 7  # grid offsets beyond +-7 share the bias of +-7
+# Bags per no-grad forward of a scoring pass. sgemm works in blocks of rows,
+# so chunks of a multiple of its block (128 is) give every bag the logits of
+# one whole-stack forward; 350-bag halves of a 700-bag split do not.
+SCORE_CHUNK = 128
 
 
 @dataclass
@@ -150,8 +156,7 @@ def bag_logits(instances, positions, params: dict, cfg: MILConfig) -> Tensor:
 
 def classify_bag(bag: Bag, params: dict, cfg: MILConfig) -> np.ndarray:
     """Class logits for one bag; argmax (lowest index on ties) is the prediction."""
-    with T.no_grad():
-        return bag_logits(bag.instances[None], bag.positions[None], params, cfg).numpy()[0]
+    return _logits(bag.instances[None], bag.positions[None], params, cfg)[0]
 
 
 def cross_entropy(logits, labels) -> Tensor:
@@ -173,13 +178,21 @@ def _stack(bags) -> tuple:
     return np.stack([b.instances for b in bags]), np.stack([b.positions for b in bags])
 
 
+def _logits(instances, positions, params: dict, cfg: MILConfig) -> np.ndarray:
+    """(N, K) logits of (N, I, C) instances off the tape, `SCORE_CHUNK` bags per forward."""
+    return T.no_grad_chunks(lambda x, pos: bag_logits(x, pos, params, cfg).numpy(),
+                            SCORE_CHUNK, instances, positions)
+
+
 def _predict(instances, positions, params: dict, cfg: MILConfig) -> np.ndarray:
-    with T.no_grad():
-        return np.argmax(bag_logits(instances, positions, params, cfg).numpy(), axis=1)
+    return np.argmax(_logits(instances, positions, params, cfg), axis=1)
 
 
 def evaluate_bags(bags, params: dict, cfg: MILConfig):
-    """Predicted class ids for a list of bags of one instance count, in one forward."""
+    """Predicted class ids (int64) for a list of bags of one instance count.
+
+    The list is stacked once and scored `SCORE_CHUNK` bags per forward.
+    """
     if not bags:
         return np.zeros(0, dtype=np.int64)
     return _predict(*_stack(bags), params, cfg)
@@ -218,7 +231,8 @@ def train_mil(train_bags, val_bags, cfg: MILConfig, progress=None):
     """Cross-entropy training on frozen bags; returns (best params, history).
 
     The train and val bags are each stacked once per call, so each list holds
-    one instance count. Without val bags, train_acc is the val_acc.
+    one instance count. Each epoch scores both stacks `SCORE_CHUNK` bags per
+    forward. Without val bags, train_acc is the val_acc.
     """
     cfg.validate()
     if not train_bags:

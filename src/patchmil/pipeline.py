@@ -50,16 +50,13 @@ FINETUNE_BATCH = 8  # images per fine-tune step of `ablation`
 # A 128-patch batch needs 14 MB at the desk arch; a split's blocks are embedded
 # in forked children, so that memory is a child's, one block per child.
 EMBED_CHUNK = 128
+FINETUNE_SCORE_CHUNK = 32  # val images per no-grad forward of `finetune_mil`'s scoring
 
 
 def embed_patches(patches: np.ndarray, params: dict, arch: bb.ArchConfig) -> np.ndarray:
     """GAP patch embeddings (P, C) of (P, side, side, 3) patches, `EMBED_CHUNK` at a time."""
-    outs = []
-    with T.no_grad():
-        for start in range(0, patches.shape[0], EMBED_CHUNK):
-            m = bb.embed_patch(patches[start : start + EMBED_CHUNK], params, arch)
-            outs.append(bb.gap(m).numpy())
-    return np.concatenate(outs, axis=0)
+    return T.no_grad_chunks(lambda chunk: bb.gap(bb.embed_patch(chunk, params, arch)).numpy(),
+                            EMBED_CHUNK, patches)
 
 
 def image_patches(images: np.ndarray, patch_side: int):
@@ -187,11 +184,9 @@ def finetune_mil(
             yield forward(images[idx]), labels[idx]
 
     def scores():
-        preds = []
-        with T.no_grad():
-            for start in range(0, len(val_images), 32):
-                preds.extend(np.argmax(forward(val_images[start : start + 32]).numpy(), axis=1))
-        return {"val_acc": float((np.array(preds) == val_labels).mean())}
+        preds = T.no_grad_chunks(lambda chunk: np.argmax(forward(chunk).numpy(), axis=1),
+                                 FINETUNE_SCORE_CHUNK, val_images)
+        return {"val_acc": float((preds == val_labels).mean())}
 
     history = ML.train_epochs(trainable, lr, cfg.epochs, batches, scores, progress)
     return encoder, mil_params, history
@@ -268,6 +263,7 @@ def ablation(corpus_dir, ssl_cfg: S.SSLConfig, mil_cfg: ML.MILConfig,
             report[f"pretraining loss [{'+'.join(terms)}]"] = linear_probe_metrics(
                 corpus_dir, state.student, arch
             )
+    del patches  # the fine-tune reads its own images; two copies would set the peak RSS
     with _timed(seconds, "finetune"):  # `state` is the last row's: the full loss
         ft_cfg = dataclasses.replace(mil_cfg, pooling="adaptive", use_position_bias=True,
                                      epochs=finetune_epochs, batch_size=FINETUNE_BATCH)

@@ -14,7 +14,9 @@ sqrt/pow, axis reductions, softmax, l2_normalize, concat, roll,
 transpose/reshape/slicing. A constant operand of a binary op is not a parent
 of the op's tape node and gets no gradient.
 
-`no_grad()` switches the tape off for forward-only passes. `Adam` (constant
+`no_grad()` switches the tape off for forward-only passes, and
+`no_grad_chunks` runs one such pass over fixed-size row chunks, so its working
+set is one chunk's whatever the input's length. `Adam` (constant
 betas, eps and weight decay) is the one optimizer of every training loop.
 `check_gradient` compares a backward pass with central finite differences.
 
@@ -68,6 +70,21 @@ def no_grad():
         yield
     finally:
         _GRAD_ENABLED = old
+
+
+def no_grad_chunks(fn: Callable, size: int, *arrays) -> np.ndarray:
+    """`fn` under `no_grad` over consecutive `size`-row slices of `arrays`, concatenated.
+
+    `fn` takes one slice of each array and returns a numpy array, so only one
+    chunk's activations are alive at a time. The slices are views: no input
+    is copied. A lone last row joins the chunk before it: numpy multiplies a
+    one-row matrix by gemv, whose bits differ from those of a gemm row.
+    """
+    n = len(arrays[0])
+    bounds = list(range(0, n - 1, size)) or [0]
+    with no_grad():
+        return np.concatenate([fn(*(a[start:stop] for a in arrays))
+                               for start, stop in zip(bounds, bounds[1:] + [n])])
 
 
 def _as_array(value, dtype=None) -> np.ndarray:

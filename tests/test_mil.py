@@ -1,6 +1,7 @@
 """MIL head: attention equivariance, pooling oracles, cross-entropy checks."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -415,7 +416,7 @@ class TestTrainMil:
 
         monkeypatch.setattr(M, "bag_logits", spy)
         preds = M.evaluate_bags(bags, params, cfg)
-        # one forward over the whole stack, off the tape
+        # fewer bags than SCORE_CHUNK: one forward over the whole stack, off the tape
         assert len(outputs) == 1 and all(o._backward is None for o in outputs)
         assert preds.tobytes() == taped.tobytes()
         one = M.classify_bag(bags[-1], params, cfg)
@@ -465,3 +466,56 @@ class TestTrainMil:
         logits = logits + params["msa0_bias"].data[:, delta[..., 0] * span + delta[..., 1]]
         e = np.exp(logits - logits.max(axis=-1, keepdims=True))
         return e / e.sum(axis=-1, keepdims=True)
+
+
+def scattered_stack(n, cfg, i=4, seed=0):
+    """(n, i, C) random instances at (n, i, 2) distinct random cells of a 5x5 grid."""
+    rng = np.random.default_rng(seed)
+    cells = rng.permuted(np.tile(np.arange(25), (n, 1)), axis=1)[:, :i]
+    positions = np.stack(np.divmod(cells, 5), axis=-1)
+    return rng.normal(size=(n, i, cfg.feature_dim)), positions
+
+
+class TestChunkedScoring:
+    CFG = M.MILConfig(feature_dim=64, heads=4)
+    SIZES = (1, M.SCORE_CHUNK - 1, M.SCORE_CHUNK, M.SCORE_CHUNK + 1, 2 * M.SCORE_CHUNK + 3)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("bias", [True, False])
+    @pytest.mark.parametrize("kind", M.POOLING_KINDS)
+    def test_chunk_boundaries_keep_the_whole_stack_bits(self, kind, bias, dtype):
+        cfg = dataclasses.replace(self.CFG, pooling=kind, use_position_bias=bias)
+        with T.default_dtype(dtype):
+            params = make_params(cfg, seed=40)
+            table = params["msa0_bias"].data
+            table[...] = np.random.default_rng(41).normal(size=table.shape)
+            for n in self.SIZES:
+                inst, pos = scattered_stack(n, cfg, seed=n)
+                with T.no_grad():
+                    whole = M.bag_logits(inst, pos, params, cfg).numpy()
+                chunked = M._logits(inst, pos, params, cfg)
+                assert chunked.dtype == dtype and chunked.tobytes() == whole.tobytes(), n
+                bags = [M.Bag(x, p, 0) for x, p in zip(inst, pos)]
+                preds = M.evaluate_bags(bags, params, cfg)
+                assert preds.dtype == np.int64
+                assert preds.tobytes() == np.argmax(whole, axis=1).tobytes(), n
+
+    def test_scoring_memory_does_not_grow_with_the_split(self):
+        params = make_params(self.CFG)
+
+        def traced_peak(n):
+            inst, pos = scattered_stack(n, self.CFG)
+            bags = [M.Bag(x, p, 0) for x, p in zip(inst, pos)]
+            M.evaluate_bags(bags, params, self.CFG)  # warm-up
+            tracemalloc.start()
+            try:
+                M.evaluate_bags(bags, params, self.CFG)
+                return tracemalloc.get_traced_memory()[1], inst.nbytes + pos.nbytes
+            finally:
+                tracemalloc.stop()
+
+        small_peak, _ = traced_peak(M.SCORE_CHUNK)
+        large_peak, large_stack = traced_peak(4 * M.SCORE_CHUNK)
+        # past the stack evaluate_bags makes, a pass holds one chunk's
+        # activations; one whole-stack forward held four chunks' at once
+        assert large_peak - large_stack < small_peak

@@ -577,6 +577,22 @@ class TestNoGrad:
             T.softmax(T.parameter(x), axis=1)
         assert grad().tobytes() == before.tobytes()
 
+    @pytest.mark.parametrize("n, sizes", [(1, [1]), (7, [7]), (8, [8]), (9, [9]),
+                                          (16, [8, 8]), (17, [8, 9]), (19, [8, 8, 3])])
+    def test_chunks_are_consecutive_and_no_row_is_alone(self, n, sizes):
+        rows, cols = np.arange(n), np.arange(2 * n).reshape(n, 2)
+        seen = []
+
+        def fn(r, c):
+            seen.append(len(r))
+            assert (p * 2.0)._backward is None and np.array_equal(c[:, 0], 2 * r)
+            return r * 10
+
+        p = T.parameter(np.ones(3))
+        out = T.no_grad_chunks(fn, 8, rows, cols)
+        assert seen == sizes and np.array_equal(out, rows * 10)
+        assert (p * 2.0)._backward is not None
+
 
 # The formulas each kernel had before its rewrite; the kernels must give the same bytes.
 

@@ -10,7 +10,9 @@ the next one's peak RSS.
 
 For each seed the record holds the stage wall seconds (corpus generation plus
 `ablation`'s stages), the total wall seconds, CPU seconds (the child itself
-plus its reaped children), peak RSS, the full report and its sha256, and the
+plus its reaped children), peak RSS (the child's own, and the largest of its
+reaped children's, such as the block embedders `parallel.fork_map` forks, so
+memory moved into a child still shows), the full report and its sha256, and the
 margin of each of the three desk gates. Over the seeds it holds the mean, std
 and min of each of these numbers, with the environment and the git revision.
 
@@ -109,6 +111,7 @@ def run_seed(seed: int) -> dict:
         "wall_s": wall,
         "cpu_s": own.ru_utime + own.ru_stime + children.ru_utime + children.ru_stime,
         "peak_rss_mb": own.ru_maxrss / 1024,  # Linux reports KiB
+        "children_peak_rss_mb": children.ru_maxrss / 1024,  # the largest reaped child's
         "report": report,
         "report_sha256": hashlib.sha256(MM.report_json(report).encode()).hexdigest(),
         "gates": gate_margins(report),
@@ -118,7 +121,8 @@ def run_seed(seed: int) -> dict:
 def numbers(record: dict) -> dict:
     """A seed record's numbers by flat name: times, memory, report metrics, gate margins."""
     flat = {f"stage_s.{k}": v for k, v in record["stage_s"].items()}
-    flat.update(wall_s=record["wall_s"], cpu_s=record["cpu_s"], peak_rss_mb=record["peak_rss_mb"])
+    flat.update(wall_s=record["wall_s"], cpu_s=record["cpu_s"], peak_rss_mb=record["peak_rss_mb"],
+                children_peak_rss_mb=record["children_peak_rss_mb"])
     for row, metrics in record["report"].items():
         flat.update({f"report.{row}.{k}": v for k, v in metrics.items()})
     flat.update({f"gates.{k}.margin": g["margin"] for k, g in record["gates"].items()})
@@ -176,7 +180,8 @@ def run_children(seeds) -> list:
             subprocess.run(cmd, check=True)
             r = json.loads(path.read_text())
             print(f"desk: seed {seed} {r['wall_s']:.0f} s, cpu {r['cpu_s']:.0f} s, "
-                  f"peak RSS {r['peak_rss_mb']:.1f} MB", file=sys.stderr)
+                  f"peak RSS {r['peak_rss_mb']:.1f} MB (children {r['children_peak_rss_mb']:.1f})",
+                  file=sys.stderr)
             records.append(r)
     return records
 
