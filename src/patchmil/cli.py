@@ -315,7 +315,7 @@ def cmd_ablate(args) -> int:
     ssl_cfg.validate()
     mil_cfg.validate()
     run = _fresh_run_dir(args.out)
-    rows, stage_seconds = P.ablation(corpus, ssl_cfg, mil_cfg, args.epochs, P.FINETUNE_LR)
+    rows, stage_seconds = P.ablation(corpus, ssl_cfg, mil_cfg, args.epochs)
     (run / "report.json").write_text(MM.report_json(rows))
     (run / "report.txt").write_text(MM.report_table(rows))
     (run / "stages.json").write_text(json.dumps(stage_seconds, indent=2))

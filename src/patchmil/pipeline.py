@@ -15,7 +15,7 @@ the epochs and batch size of its `MILConfig`.
 `patchmil ablate` and the acceptance gate's desk experiment: linear probes of
 a random-init encoder and of one pretrained encoder per loss subset in
 `LOSS_ROWS`, an end-to-end fine-tune of the full-loss encoder, then one MIL
-head per pooling kind on the fine-tuned encoder's frozen bag features.
+head per `MIL_ROWS` entry on the fine-tuned encoder's frozen bag features.
 """
 
 from __future__ import annotations
@@ -43,6 +43,8 @@ LOSS_ROWS = (
     ("global", "var", "cov"),
     ("global", "parts", "var", "cov"),
 )
+# (pooling, position bias) of the MIL heads of the pooling ablation, in report order
+MIL_ROWS = tuple((kind, True) for kind in ML.POOLING_KINDS) + (("adaptive", False),)
 ABLATION_STAGES = ("probes", "ssl", "finetune", "bags", "mil")
 FINETUNE_LR = 3e-3
 FINETUNE_BATCH = 8  # images per fine-tune step of `ablation`
@@ -239,13 +241,12 @@ def _timed(seconds: dict, stage: str):
     seconds[stage] += time.perf_counter() - start
 
 
-def ablation(corpus_dir, ssl_cfg: S.SSLConfig, mil_cfg: ML.MILConfig,
-             finetune_epochs: int, finetune_lr: float):
+def ablation(corpus_dir, ssl_cfg: S.SSLConfig, mil_cfg: ML.MILConfig, finetune_epochs: int):
     """Run the loss and pooling ablations; returns (report, stage_seconds).
 
     Each row sets the loss terms of `ssl_cfg` and the pooling and position
     bias of `mil_cfg`; the fine-tune uses adaptive pooling with the bias,
-    `finetune_epochs` epochs and `FINETUNE_BATCH` images a step.
+    `finetune_epochs` epochs, lr `FINETUNE_LR` and `FINETUNE_BATCH` images a step.
     `stage_seconds` maps each of `ABLATION_STAGES` to its wall seconds.
     """
     arch = ssl_cfg.arch
@@ -267,11 +268,11 @@ def ablation(corpus_dir, ssl_cfg: S.SSLConfig, mil_cfg: ML.MILConfig,
     with _timed(seconds, "finetune"):  # `state` is the last row's: the full loss
         ft_cfg = dataclasses.replace(mil_cfg, pooling="adaptive", use_position_bias=True,
                                      epochs=finetune_epochs, batch_size=FINETUNE_BATCH)
-        encoder, _, _ = finetune_mil(corpus_dir, state.student, arch, ft_cfg, lr=finetune_lr)
+        encoder, _, _ = finetune_mil(corpus_dir, state.student, arch, ft_cfg)
     with _timed(seconds, "bags"):
         bags, _ = frozen_bags(corpus_dir, encoder, arch)
     with _timed(seconds, "mil"):
-        for kind, bias in [(kind, True) for kind in ML.POOLING_KINDS] + [("adaptive", False)]:
+        for kind, bias in MIL_ROWS:
             cfg = dataclasses.replace(mil_cfg, pooling=kind, use_position_bias=bias)
             params, _ = ML.train_mil(bags["train"], bags["val"], cfg)
             label = f"ours + {kind} pool" if bias else f"ours + {kind} pool, no position bias"

@@ -325,8 +325,86 @@ DESK_SSL_LR = 3e-4
 DESK_SSL_BATCH = 32
 DESK_TEACHER_MOMENTUM = 0.9
 DESK_FT_EPOCHS = 25
-DESK_FT_LR = 3e-3
 DESK_MIL_EPOCHS = 30
+# the gates' thresholds, never tuned: (a) points the pretrained probe must gain
+# over the random-init one; (c) the adaptive pool's accuracy floor, and how far
+# below the mean pool it may fall
+GATE_A_MIN_GAIN_PTS = 10.0
+GATE_C_MIN_ACC = 0.85
+GATE_C_MEAN_POOL_SLACK = 0.01
+
+
+def desk_configs(seed: int):
+    """The desk's (corpus, SSL, MIL) configs, with `seed` in every seed field."""
+    arch = bb.ArchConfig(**DESK_ARCH)
+    ssl_cfg = S.SSLConfig(
+        arch=arch,
+        epochs=DESK_SSL_EPOCHS,
+        batch_size=DESK_SSL_BATCH,
+        lr=DESK_SSL_LR,
+        seed=seed,
+        weights=S.LossWeights(momentum=DESK_TEACHER_MOMENTUM),
+    )
+    mil_cfg = ML.MILConfig(feature_dim=arch.feature_dim, epochs=DESK_MIL_EPOCHS, seed=seed)
+    return D.CorpusConfig(seed=seed), ssl_cfg, mil_cfg
+
+
+def gate_margins(report: dict) -> dict:
+    """Each desk gate's verdict and margin in accuracy points (>= 0 passes)."""
+    full = report["pretraining loss [global+parts+var+cov]"]["acc"]
+    random_acc = report["linear probe (random init)"]["acc"]
+    global_only = report["pretraining loss [global]"]["acc"]
+    adaptive = report["ours + adaptive pool"]["acc"]
+    mean_pool = report["ours + mean pool"]["acc"]
+    gap = (full - random_acc) * 100
+    floor = mean_pool - GATE_C_MEAN_POOL_SLACK
+    return {
+        "a_pretrained_beats_random_by_10": {"margin": gap - GATE_A_MIN_GAIN_PTS,
+                                            "passed": gap >= GATE_A_MIN_GAIN_PTS},
+        "b_full_at_least_global_only": {"margin": (full - global_only) * 100,
+                                        "passed": full >= global_only},
+        "c_adaptive_pool": {
+            "margin": min(adaptive - GATE_C_MIN_ACC, adaptive - floor) * 100,
+            "passed": adaptive >= GATE_C_MIN_ACC and adaptive >= floor,
+        },
+    }
+
+
+def _gate_report(full, random_acc=0, global_only=0, adaptive=210, mean_pool=0):
+    """A report of the gates' rows, each accuracy given in test images of 210."""
+    rows = {
+        "pretraining loss [global+parts+var+cov]": full,
+        "linear probe (random init)": random_acc,
+        "pretraining loss [global]": global_only,
+        "ours + adaptive pool": adaptive,
+        "ours + mean pool": mean_pool,
+    }
+    return {name: {"acc": images / 210} for name, images in rows.items()}
+
+
+class TestGateMargins:
+    def test_a_needs_ten_points(self):
+        gate = gate_margins(_gate_report(113, random_acc=91))["a_pretrained_beats_random_by_10"]
+        assert gate["passed"] and gate["margin"] == 10.476190476190473 - 10.0
+        # a 21-image gap is 10 points, but its float value depends on the counts
+        gate = gate_margins(_gate_report(112, random_acc=91))["a_pretrained_beats_random_by_10"]
+        assert not gate["passed"] and gate["margin"] == 9.999999999999998 - 10.0
+        gate = gate_margins(_gate_report(111, random_acc=90))["a_pretrained_beats_random_by_10"]
+        assert gate["passed"] and gate["margin"] == 10.000000000000004 - 10.0
+
+    def test_b_passes_on_a_tie(self):
+        gate = gate_margins(_gate_report(150, global_only=150))["b_full_at_least_global_only"]
+        assert gate == {"margin": 0.0, "passed": True}
+        gate = gate_margins(_gate_report(149, global_only=150))["b_full_at_least_global_only"]
+        assert not gate["passed"] and gate["margin"] < 0
+
+    @pytest.mark.parametrize("adaptive, mean_pool, passed", [
+        (179, 0, True), (178, 0, False), (188, 190, True), (187, 190, False),
+    ])
+    def test_c_floor_and_mean_pool_slack(self, adaptive, mean_pool, passed):
+        gate = gate_margins(_gate_report(0, adaptive=adaptive, mean_pool=mean_pool))
+        assert gate["c_adaptive_pool"]["passed"] is passed
+        assert (gate["c_adaptive_pool"]["margin"] >= 0) is passed
 
 
 @pytest.fixture(scope="module")
@@ -340,18 +418,9 @@ def desk(tmp_path_factory):
     start = time.time()
     root = tmp_path_factory.mktemp("desk")
     corpus = root / "corpus"
-    D.generate_corpus(D.CorpusConfig(seed=DESK_SEED), corpus)
-    arch = bb.ArchConfig(**DESK_ARCH)
-    ssl_cfg = S.SSLConfig(
-        arch=arch,
-        epochs=DESK_SSL_EPOCHS,
-        batch_size=DESK_SSL_BATCH,
-        lr=DESK_SSL_LR,
-        seed=DESK_SEED,
-        weights=S.LossWeights(momentum=DESK_TEACHER_MOMENTUM),
-    )
-    mil_cfg = ML.MILConfig(feature_dim=arch.feature_dim, epochs=DESK_MIL_EPOCHS, seed=DESK_SEED)
-    report, stage_seconds = P.ablation(corpus, ssl_cfg, mil_cfg, DESK_FT_EPOCHS, DESK_FT_LR)
+    corpus_cfg, ssl_cfg, mil_cfg = desk_configs(DESK_SEED)
+    D.generate_corpus(corpus_cfg, corpus)
+    report, stage_seconds = P.ablation(corpus, ssl_cfg, mil_cfg, DESK_FT_EPOCHS)
     (root / "ablation_report.json").write_text(MM.report_json(report))
     (root / "ablation_report.txt").write_text(MM.report_table(report))
     return {
@@ -369,7 +438,7 @@ class TestDeskExperiment:
         gap = (full - random_acc) * 100
         _criterion(
             "desk (a): pretrained linear probe beats random init by >= 10 points",
-            gap >= 10.0,
+            gate_margins(desk["report"])["a_pretrained_beats_random_by_10"]["passed"],
             f"pretrained {full:.3f} vs random {random_acc:.3f} (gap {gap:.1f} pts)",
         )
 
@@ -378,7 +447,7 @@ class TestDeskExperiment:
         global_only = desk["report"]["pretraining loss [global]"]["acc"]
         _criterion(
             "desk (b): full loss >= global-only loss in probe accuracy",
-            full >= global_only,
+            gate_margins(desk["report"])["b_full_at_least_global_only"]["passed"],
             f"full {full:.3f} vs global-only {global_only:.3f}",
         )
 
@@ -387,12 +456,13 @@ class TestDeskExperiment:
         mean_pool = desk["report"]["ours + mean pool"]["acc"]
         report_txt = (desk["root"] / "ablation_report.txt").read_text()
         report = json.loads((desk["root"] / "ablation_report.json").read_text())
-        rows_ok = len(report) == 1 + len(P.LOSS_ROWS) + len(ML.POOLING_KINDS) + 1 and all(
+        rows_ok = len(report) == 1 + len(P.LOSS_ROWS) + len(P.MIL_ROWS) and all(
             set(row) == set(MM.METRIC_NAMES) for row in report.values()
         )
         _criterion(
             "desk (c): adaptive pool >= 85% test accuracy and >= mean pool - 1 point",
-            adaptive >= 0.85 and adaptive >= mean_pool - 0.01 and rows_ok and "ACC" in report_txt,
+            gate_margins(desk["report"])["c_adaptive_pool"]["passed"]
+            and rows_ok and "ACC" in report_txt,
             f"adaptive {adaptive:.3f}, mean {mean_pool:.3f}, report rows {len(report)}",
         )
 

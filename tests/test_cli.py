@@ -796,6 +796,14 @@ class TestAblate:
             "ours + gated_attention pool",
             "ours + adaptive pool, no position bias",
         }
+        # report.json sorts its keys; the table keeps the rows in the order they ran
+        lines = (ablate_run / "report.txt").read_text().splitlines()[2:]
+        assert [line.split("  ")[0] for line in lines] == (
+            ["linear probe (random init)"]
+            + [f"pretraining loss [{'+'.join(terms)}]" for terms in P.LOSS_ROWS]
+            + [f"ours + {kind} pool" + ("" if bias else ", no position bias")
+               for kind, bias in P.MIL_ROWS]
+        )
         stages = json.loads((ablate_run / "stages.json").read_text())
         assert list(stages) == list(P.ABLATION_STAGES)
         assert all(sec >= 0 for sec in stages.values())
@@ -811,7 +819,7 @@ class TestAblate:
             seed=2,
         )
         mil_cfg = ML.MILConfig(feature_dim=arch.feature_dim, epochs=1, batch_size=8, seed=2)
-        report, _ = P.ablation(corpus, ssl_cfg, mil_cfg, finetune_epochs=1, finetune_lr=3e-3)
+        report, _ = P.ablation(corpus, ssl_cfg, mil_cfg, finetune_epochs=1)
         saved = json.loads((ablate_run / "report.json").read_text())
         assert saved == json.loads(MM.report_json(report))
 

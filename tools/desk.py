@@ -2,9 +2,9 @@
 
 The desk is the fixed-seed experiment of `tests/test_acceptance.py`: the
 default synthetic corpus, then `pipeline.ablation` with the slim encoder and
-the per-stage budgets. This tool loads the `DESK_*` constants from that file
-by path, so the desk settings keep one source, and builds the configs as its
-`desk` fixture does, with seed s in every place the fixture uses `DESK_SEED`.
+the per-stage budgets. This tool loads that file by path and takes the desk
+from it: the configs of `desk_configs(seed)`, the fine-tune budget and the
+gates' `gate_margins`, so the desk has one definition.
 Each seed runs in its own child process, so one seed's heap does not shape
 the next one's peak RSS.
 
@@ -14,7 +14,8 @@ plus its reaped children), peak RSS (the child's own, and the largest of its
 reaped children's, such as the block embedders `parallel.fork_map` forks, so
 memory moved into a child still shows), the full report and its sha256, and the
 margin of each of the three desk gates. Over the seeds it holds the mean, std
-and min of each of these numbers, with the environment and the git revision.
+and min of each of these numbers, the `DESK_*` constants, the environment and
+the git revision.
 
 The gates are judged at `DESK_SEED` only: the exit code is 1 when one fails
 there. A gate that fails at another seed is recorded, not re-seeded. Five
@@ -47,61 +48,33 @@ BLAS_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 SEEDS = (0, 1, 2, 3, 4)  # holds the gate file's DESK_SEED, where the gates are judged
 
 
-def desk_constants() -> dict:
-    """The DESK_* names of the acceptance gate file."""
+def gate_file():
+    """The acceptance gate file as a module: the desk's constants, configs and gates."""
     spec = importlib.util.spec_from_file_location("desk_gate_file", GATE_FILE)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return {k: v for k, v in vars(module).items() if k.startswith("DESK_")}
+    return module
 
 
-def gate_margins(report: dict) -> dict:
-    """Each desk gate's margin in accuracy points (>= 0 passes), as the gate file tests it."""
-    # Mirrors TestDeskExperiment's asserts; change both together.
-    full = report["pretraining loss [global+parts+var+cov]"]["acc"]
-    random_acc = report["linear probe (random init)"]["acc"]
-    global_only = report["pretraining loss [global]"]["acc"]
-    adaptive = report["ours + adaptive pool"]["acc"]
-    mean_pool = report["ours + mean pool"]["acc"]
-    gap = (full - random_acc) * 100
-    return {
-        "a_pretrained_beats_random_by_10": {"margin": gap - 10.0, "passed": gap >= 10.0},
-        "b_full_at_least_global_only": {"margin": (full - global_only) * 100,
-                                        "passed": full >= global_only},
-        "c_adaptive_pool": {
-            "margin": min(adaptive - 0.85, adaptive - (mean_pool - 0.01)) * 100,
-            "passed": adaptive >= 0.85 and adaptive >= mean_pool - 0.01,
-        },
-    }
+def desk_constants() -> dict:
+    """The DESK_* names of the acceptance gate file."""
+    return {k: v for k, v in vars(gate_file()).items() if k.startswith("DESK_")}
 
 
 def run_seed(seed: int) -> dict:
     """One desk at `seed`, in this process; returns its record."""
-    from patchmil import backbone as bb
     from patchmil import data as D
     from patchmil import metrics as MM
-    from patchmil import mil as ML
     from patchmil import pipeline as P
-    from patchmil import selfsup as S
 
-    c = desk_constants()
+    gate = gate_file()
+    corpus_cfg, ssl_cfg, mil_cfg = gate.desk_configs(seed)
     start = time.perf_counter()
     with tempfile.TemporaryDirectory(prefix="desk-") as tmp:
         corpus = Path(tmp) / "corpus"
-        D.generate_corpus(D.CorpusConfig(seed=seed), corpus)
+        D.generate_corpus(corpus_cfg, corpus)
         corpus_s = time.perf_counter() - start
-        arch = bb.ArchConfig(**c["DESK_ARCH"])
-        ssl_cfg = S.SSLConfig(
-            arch=arch,
-            epochs=c["DESK_SSL_EPOCHS"],
-            batch_size=c["DESK_SSL_BATCH"],
-            lr=c["DESK_SSL_LR"],
-            seed=seed,
-            weights=S.LossWeights(momentum=c["DESK_TEACHER_MOMENTUM"]),
-        )
-        mil_cfg = ML.MILConfig(feature_dim=arch.feature_dim, epochs=c["DESK_MIL_EPOCHS"], seed=seed)
-        report, stage_seconds = P.ablation(corpus, ssl_cfg, mil_cfg, c["DESK_FT_EPOCHS"],
-                                           c["DESK_FT_LR"])
+        report, stage_seconds = P.ablation(corpus, ssl_cfg, mil_cfg, gate.DESK_FT_EPOCHS)
     wall = time.perf_counter() - start
     own, children = (resource.getrusage(who)
                      for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN))
@@ -114,7 +87,7 @@ def run_seed(seed: int) -> dict:
         "children_peak_rss_mb": children.ru_maxrss / 1024,  # the largest reaped child's
         "report": report,
         "report_sha256": hashlib.sha256(MM.report_json(report).encode()).hexdigest(),
-        "gates": gate_margins(report),
+        "gates": gate.gate_margins(report),
     }
 
 
@@ -162,7 +135,7 @@ def environment() -> dict:
         "numpy": numpy.__version__,
         "scipy": scipy.__version__,
         "machine": platform.machine(),
-        "nproc": os.cpu_count(),
+        "nproc": len(os.sched_getaffinity(0)),  # the CPUs parallel.fork_map sizes its pools by
         "blas_env": {k: os.environ[k] for k in BLAS_VARS if k in os.environ},
         "git_revision": _git("rev-parse", "HEAD"),
         "git_dirty": None if status is None else bool(status),
@@ -195,13 +168,15 @@ def main(argv=None) -> int:
     if args.one is not None:
         args.out.write_text(json.dumps(run_seed(args.one), indent=2) + "\n")
         return 0
-    desk_seed = desk_constants()["DESK_SEED"]
+    constants = desk_constants()
+    desk_seed = constants["DESK_SEED"]
     if desk_seed not in SEEDS:
         parser.error(f"DESK_SEED {desk_seed} is not among the seeds {SEEDS}")
     records = run_children(SEEDS)
     bench = {
         "what": "desk experiment of tests/test_acceptance.py, one child process per seed",
         "env": environment(),
+        "desk_constants": constants,
         "desk_seed": desk_seed,
         "seeds": records,
         "summary": summary(records),

@@ -1,7 +1,9 @@
 """Bit-identity fingerprint of patchmil's outputs: one sha256 per artifact.
 
 Runs fixed-seed work in float32 and in float64 on corpora it generates in a
-temporary directory, and prints one JSON object {artifact: sha256}:
+temporary directory, and prints one JSON object {artifact: sha256}. The
+encoder, and the pretrain batch, lr and teacher momentum, are the desk's: the
+`DESK_*` constants of `tests/test_acceptance.py`, read through `tools/desk.py`.
 
 - `<dtype>/pretrain/...`: a short `selfsup.pretrain` run, its progress
   records and its four parameter groups;
@@ -41,10 +43,12 @@ from pathlib import Path
 
 import numpy as np
 
+import desk  # tools/desk.py, beside this file: the gate file's desk constants
+
 PLACEHOLDER = "<RUN>"
+# pipeline.MIL_ROWS, written out so that a tree without that name is fingerprinted too
 HEADS = (("adaptive", True), ("max", True), ("mean", True), ("soft", True),
          ("gated_attention", True), ("adaptive", False))
-ARCH = dict(local_channels=(8, 16, 32), global_dim=32, embed_dim=32)  # the benchmark's arch
 SEED = 0
 
 
@@ -95,8 +99,10 @@ def fingerprint_pretrain(fp, prefix, corpus, patch_count=1024):
     from patchmil import pipeline as P
     from patchmil import selfsup as S
 
-    cfg = S.SSLConfig(arch=bb.ArchConfig(**ARCH), epochs=1, batch_size=32, lr=3e-4, seed=SEED,
-                      weights=S.LossWeights(momentum=0.9))
+    c = desk.desk_constants()
+    cfg = S.SSLConfig(arch=bb.ArchConfig(**c["DESK_ARCH"]), epochs=1,
+                      batch_size=c["DESK_SSL_BATCH"], lr=c["DESK_SSL_LR"], seed=SEED,
+                      weights=S.LossWeights(momentum=c["DESK_TEACHER_MOMENTUM"]))
     patches = P.image_patches(D.load_split(corpus, "train")[0], cfg.arch.side)[0]
     records = []
     state = S.pretrain(patches[:patch_count], cfg, progress=records.append)
@@ -111,7 +117,7 @@ def fingerprint_heads(fp, prefix, corpus, epochs=3, n_reports=5, n_classified=8)
     from patchmil import mil as ML
     from patchmil import pipeline as P
 
-    arch = bb.ArchConfig(**ARCH)
+    arch = bb.ArchConfig(**desk.desk_constants()["DESK_ARCH"])
     encoder = bb.init_backbone(np.random.default_rng(SEED), arch)
     bags = {split: P.bags_from_corpus(corpus, split, encoder, arch) for split in D.SPLITS}
     norm = P.bag_normalization(bags["train"])
