@@ -91,12 +91,6 @@ def _ssl_config_from_args(args, loss_terms=None) -> S.SSLConfig:
     )
 
 
-def _load_train_patches(corpus: str, side: int) -> np.ndarray:
-    images, _, _ = D.load_split(corpus, "train")
-    patches, _, _ = P.image_patches(images, side)
-    return patches
-
-
 def _save_ssl_checkpoint(path, state: S.SSLState) -> None:
     D.save_checkpoint(
         path,
@@ -120,7 +114,7 @@ def cmd_pretrain(args) -> int:
     cfg = _ssl_config_from_args(args)
     cfg.validate()
     run = _fresh_run_dir(args.out)
-    patches = _load_train_patches(corpus, cfg.arch.side)
+    patches, _, _ = P.split_patches(corpus, "train", cfg.arch.side)
     with open(run / "losses.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["step", "L_global", "L_parts", "L_var", "L_cov", "L_all", "lr", "grad_norm"])
@@ -238,9 +232,9 @@ def cmd_train_mil(args) -> int:
             fh.flush()
 
         if args.finetune:
-            encoder, params, _ = P.finetune_mil(
-                corpus, backbone_params, arch, mil_cfg, lr=args.finetune_lr, progress=log
-            )
+            encoder, params, _ = P.finetune_mil(  # the splits are freed before the test bags
+                *(P.split_patches(corpus, split, arch.side) for split in ("train", "val")),
+                backbone_params, arch, mil_cfg, lr=args.finetune_lr, progress=log)
             test_bags = P.bags_from_corpus(corpus, "test", encoder, arch)
             groups["student"] = encoder
         else:

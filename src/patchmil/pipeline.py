@@ -6,7 +6,8 @@ mean of its patch embeddings; a bag (for MIL) keeps the patch embeddings and
 their grid positions. A corpus split is read, tiled and embedded one block of
 images at a time, one process per available CPU (`parallel.fork_map`), so its
 pixels are never all in memory at once and the embeddings are those of the
-same blocks embedded one after another.
+same blocks embedded one after another. `split_patches` reads a split's
+blocks into one array of patches, for SSL pretraining and the fine-tune.
 `finetune_mil` trains the encoder and a MIL head end to end with
 `mil.train_epochs`, the loop that `mil.train_mil` uses on frozen bags, for
 the epochs and batch size of its `MILConfig`.
@@ -52,7 +53,6 @@ FINETUNE_BATCH = 8  # images per fine-tune step of `ablation`
 # A 128-patch batch needs 14 MB at the desk arch; a split's blocks are embedded
 # in forked children, so that memory is a child's, one block per child.
 EMBED_CHUNK = 128
-FINETUNE_SCORE_CHUNK = 32  # val images per no-grad forward of `finetune_mil`'s scoring
 
 
 def embed_patches(patches: np.ndarray, params: dict, arch: bb.ArchConfig) -> np.ndarray:
@@ -81,6 +81,36 @@ def image_patches(images: np.ndarray, patch_side: int):
     return tiles, rows * cols, positions
 
 
+def _split_reader(corpus_dir, split: str, side: int):
+    """(records, images per block, `read_block(start)`): a block holds `EMBED_CHUNK` patches,
+    and `read_block` refuses images whose shape is not the split's first image's."""
+    records = D.split_records(corpus_dir, split)
+    shape = D.tensor_shape(Path(corpus_dir) / records[0].path)
+    tiles = (shape[0] // side) * (shape[1] // side)  # 0 makes image_patches raise
+    block = max(1, EMBED_CHUNK // max(tiles, 1))
+
+    def read_block(start: int) -> np.ndarray:
+        images = D.read_images(corpus_dir, records[start : start + block])
+        if images.shape[1:] != shape:  # read_images checks within its block only
+            raise FormatError(f"image {records[start].path} of {corpus_dir} has shape "
+                              f"{images.shape[1:]}, not the {shape} of {records[0].path}")
+        return images
+
+    return records, block, read_block
+
+
+def split_patches(corpus_dir, split: str, side: int):
+    """(patches, labels, positions) of a split, the patches in `image_patches` order, read
+    block by block into one preallocated array: no image array is held beside its tiles."""
+    records, block, read_block = _split_reader(corpus_dir, split, side)
+    for start in range(0, len(records), block):
+        tiles, per_image, positions = image_patches(read_block(start), side)
+        if start == 0:
+            patches = np.empty((len(records) * per_image,) + tiles.shape[1:], tiles.dtype)
+        patches[start * per_image : start * per_image + len(tiles)] = tiles
+    return patches, np.array([r.class_id for r in records]), positions
+
+
 def _embed_split(corpus_dir, split: str, params: dict, arch: bb.ArchConfig, limit=None):
     """Patch embeddings of a split, read, tiled and embedded one block at a time.
 
@@ -92,16 +122,10 @@ def _embed_split(corpus_dir, split: str, params: dict, arch: bb.ArchConfig, limi
     `limit` images are embedded, whole, so each embedding keeps its bits.
     Returns (embeddings (N, patches per image, C), positions, labels).
     """
-    records = D.split_records(corpus_dir, split)
-    shape = D.tensor_shape(Path(corpus_dir) / records[0].path)
-    tiles = (shape[0] // arch.side) * (shape[1] // arch.side)  # 0 makes image_patches raise
-    block = max(1, EMBED_CHUNK // max(tiles, 1))
+    records, block, read_block = _split_reader(corpus_dir, split, arch.side)
 
     def embed_block(start: int):
-        images = D.read_images(corpus_dir, records[start : start + block])
-        if images.shape[1:] != shape:  # read_images checks within its block only
-            raise FormatError(f"image {records[start].path} of {corpus_dir} has shape "
-                              f"{images.shape[1:]}, not the {shape} of {records[0].path}")
+        images = read_block(start)
         patches, per_image, positions = image_patches(images, arch.side)
         return embed_patches(patches, params, arch).reshape(len(images), per_image, -1), positions
 
@@ -142,53 +166,43 @@ def bag_metrics(bags, params: dict, cfg: ML.MILConfig) -> dict:
     return MM.metrics_from_predictions(preds, np.array([b.label for b in bags]))
 
 
-def finetune_mil(
-    corpus_dir,
-    init_params: dict,
-    arch: bb.ArchConfig,
-    cfg: ML.MILConfig,
-    lr: float = FINETUNE_LR,
-    progress=None,
-):
+def finetune_mil(train, val, init_params: dict, arch: bb.ArchConfig, cfg: ML.MILConfig,
+                 lr: float = FINETUNE_LR, progress=None):
     """Train encoder and MIL head end to end with cross-entropy on bags.
 
-    Starts from `init_params` (typically pretrained encoder weights) and runs
+    `train` and `val` are splits as `split_patches` returns them. Starts from
+    `init_params` (typically pretrained encoder weights) and runs
     `mil.train_epochs` for `cfg.epochs` epochs on full batches of
-    `cfg.batch_size` training images, one permutation per epoch. Keeps the
+    `cfg.batch_size` training images, one permutation per epoch, scoring val
+    as frozen bags are: `embed_patches`, then `mil`'s chunked scoring. Keeps the
     parameters of the epoch with the best validation accuracy and returns
     (encoder params, MIL params, history); the history records, also passed
     to `progress(record)`, have no train_acc.
     """
     cfg.validate()
-    images, labels, _ = D.load_split(corpus_dir, "train")
-    if cfg.batch_size > len(images):  # no full batch: the fine-tune would take no step
-        raise ConfigError(
-            f"fine-tune batch size {cfg.batch_size} exceeds the {len(images)} training images"
-        )
-    val_images, val_labels, _ = D.load_split(corpus_dir, "val")
-    _, per_image, positions = image_patches(images[:1], arch.side)
+    (patches, labels, positions), (val_patches, val_labels, val_positions) = train, val
+    if cfg.batch_size > len(labels):  # no full batch: the fine-tune would take no step
+        raise ConfigError(f"fine-tune batch size {cfg.batch_size} exceeds the "
+                          f"{len(labels)} training images")
+    by_image = patches.reshape((len(labels), -1) + patches.shape[1:])  # a view
+    pos = np.stack([positions] * cfg.batch_size)  # every batch is full
     encoder = {k: T.parameter(np.array(p.data, copy=True)) for k, p in init_params.items()}
     mil_params = ML.init_mil(np.random.default_rng(cfg.seed), cfg)
     trainable = {**encoder, **{f"mil:{k}": v for k, v in mil_params.items()}}
     rng = np.random.default_rng(cfg.seed)
 
-    def forward(batch_images):
-        tiles = image_patches(batch_images, arch.side)[0]
-        feature_map = bb.embed_patch(tiles, encoder, arch)
-        instances = bb.gap(feature_map).reshape(len(batch_images), per_image, arch.feature_dim)
-        pos = np.stack([positions] * len(batch_images))
-        return ML.bag_logits(instances, pos, mil_params, cfg)
-
     def batches():
-        order = rng.permutation(len(images))
+        order = rng.permutation(len(labels))
         for start in range(0, len(order) - cfg.batch_size + 1, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
-            yield forward(images[idx]), labels[idx]
+            tiles = by_image[idx].reshape((-1,) + patches.shape[1:])
+            instances = bb.gap(bb.embed_patch(tiles, encoder, arch)).reshape(pos.shape[:2] + (-1,))
+            yield ML.bag_logits(instances, pos, mil_params, cfg), labels[idx]
 
     def scores():
-        preds = T.no_grad_chunks(lambda chunk: np.argmax(forward(chunk).numpy(), axis=1),
-                                 FINETUNE_SCORE_CHUNK, val_images)
-        return {"val_acc": float((preds == val_labels).mean())}
+        val_pos = np.broadcast_to(val_positions, (len(val_labels),) + val_positions.shape)
+        emb = embed_patches(val_patches, encoder, arch).reshape(val_pos.shape[:2] + (-1,))
+        return {"val_acc": float((ML._predict(emb, val_pos, mil_params, cfg) == val_labels).mean())}
 
     history = ML.train_epochs(trainable, lr, cfg.epochs, batches, scores, progress)
     return encoder, mil_params, history
@@ -255,20 +269,20 @@ def ablation(corpus_dir, ssl_cfg: S.SSLConfig, mil_cfg: ML.MILConfig, finetune_e
         random_params = bb.init_backbone(np.random.default_rng(ssl_cfg.seed), arch)
         report = {"linear probe (random init)": linear_probe_metrics(corpus_dir, random_params, arch)}
     with _timed(seconds, "ssl"):
-        # no name for the images: the patches are the one copy SSL needs
-        patches, _, _ = image_patches(D.load_split(corpus_dir, "train")[0], arch.side)
+        train = split_patches(corpus_dir, "train", arch.side)
     for terms in LOSS_ROWS:
         with _timed(seconds, "ssl"):
-            state = S.pretrain(patches, dataclasses.replace(ssl_cfg, loss_terms=terms))
+            state = S.pretrain(train[0], dataclasses.replace(ssl_cfg, loss_terms=terms))
         with _timed(seconds, "probes"):
             report[f"pretraining loss [{'+'.join(terms)}]"] = linear_probe_metrics(
                 corpus_dir, state.student, arch
             )
-    del patches  # the fine-tune reads its own images; two copies would set the peak RSS
     with _timed(seconds, "finetune"):  # `state` is the last row's: the full loss
         ft_cfg = dataclasses.replace(mil_cfg, pooling="adaptive", use_position_bias=True,
                                      epochs=finetune_epochs, batch_size=FINETUNE_BATCH)
-        encoder, _, _ = finetune_mil(corpus_dir, state.student, arch, ft_cfg)
+        val = split_patches(corpus_dir, "val", arch.side)
+        encoder, _, _ = finetune_mil(train, val, state.student, arch, ft_cfg)
+    del train, val  # so the bag embedders fork from a parent that holds no pixels
     with _timed(seconds, "bags"):
         bags, _ = frozen_bags(corpus_dir, encoder, arch)
     with _timed(seconds, "mil"):

@@ -436,10 +436,13 @@ class TestDeskExperiment:
         full = desk["report"]["pretraining loss [global+parts+var+cov]"]["acc"]
         random_acc = desk["report"]["linear probe (random init)"]["acc"]
         gap = (full - random_acc) * 100
+        gate = gate_margins(desk["report"])["a_pretrained_beats_random_by_10"]
+        # at full precision: a 21-image gap, 9.999999999999998, would read as 10.0
         _criterion(
             "desk (a): pretrained linear probe beats random init by >= 10 points",
-            gate_margins(desk["report"])["a_pretrained_beats_random_by_10"]["passed"],
-            f"pretrained {full:.3f} vs random {random_acc:.3f} (gap {gap:.1f} pts)",
+            gate["passed"],
+            f"pretrained {full:.3f} vs random {random_acc:.3f} "
+            f"(gap {gap!r} pts, margin {gate['margin']!r})",
         )
 
     def test_full_loss_at_least_global_only(self, desk):

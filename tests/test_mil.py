@@ -478,27 +478,31 @@ def scattered_stack(n, cfg, i=4, seed=0):
 
 class TestChunkedScoring:
     CFG = M.MILConfig(feature_dim=64, heads=4)
-    SIZES = (1, M.SCORE_CHUNK - 1, M.SCORE_CHUNK, M.SCORE_CHUNK + 1, 2 * M.SCORE_CHUNK + 3)
+    # 32 is the chunk of the fine-tune's val scoring before it went through `_logits`
+    CHUNKS = (M.SCORE_CHUNK, 32)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("bias", [True, False])
     @pytest.mark.parametrize("kind", M.POOLING_KINDS)
-    def test_chunk_boundaries_keep_the_whole_stack_bits(self, kind, bias, dtype):
+    def test_chunk_boundaries_keep_the_whole_stack_bits(self, kind, bias, dtype, monkeypatch):
         cfg = dataclasses.replace(self.CFG, pooling=kind, use_position_bias=bias)
         with T.default_dtype(dtype):
             params = make_params(cfg, seed=40)
             table = params["msa0_bias"].data
             table[...] = np.random.default_rng(41).normal(size=table.shape)
-            for n in self.SIZES:
-                inst, pos = scattered_stack(n, cfg, seed=n)
-                with T.no_grad():
-                    whole = M.bag_logits(inst, pos, params, cfg).numpy()
-                chunked = M._logits(inst, pos, params, cfg)
-                assert chunked.dtype == dtype and chunked.tobytes() == whole.tobytes(), n
-                bags = [M.Bag(x, p, 0) for x, p in zip(inst, pos)]
-                preds = M.evaluate_bags(bags, params, cfg)
-                assert preds.dtype == np.int64
-                assert preds.tobytes() == np.argmax(whole, axis=1).tobytes(), n
+            for chunk in self.CHUNKS:
+                monkeypatch.setattr(M, "SCORE_CHUNK", chunk)
+                for n in (1, chunk - 1, chunk, chunk + 1, 2 * chunk + 3):
+                    inst, pos = scattered_stack(n, cfg, seed=n)
+                    with T.no_grad():
+                        whole = M.bag_logits(inst, pos, params, cfg).numpy()
+                    chunked = M._logits(inst, pos, params, cfg)
+                    assert chunked.dtype == dtype, (chunk, n)
+                    assert chunked.tobytes() == whole.tobytes(), (chunk, n)
+                    bags = [M.Bag(x, p, 0) for x, p in zip(inst, pos)]
+                    preds = M.evaluate_bags(bags, params, cfg)
+                    assert preds.dtype == np.int64
+                    assert preds.tobytes() == np.argmax(whole, axis=1).tobytes(), (chunk, n)
 
     def test_scoring_memory_does_not_grow_with_the_split(self):
         params = make_params(self.CFG)

@@ -93,6 +93,11 @@ def same_bytes(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def finetune_splits(corpus_dir):
+    """The (train, val) splits `finetune_mil` takes, at ARCH's patch side."""
+    return tuple(P.split_patches(corpus_dir, split, ARCH.side) for split in ("train", "val"))
+
+
 class TestEmbedding:
     def test_embed_patches_shape_and_chunk_equivalence(self, params, monkeypatch):
         patches = np.random.default_rng(1).uniform(size=(5, 16, 16, 3))
@@ -251,13 +256,63 @@ class TestBlockByBlock:
         assert large_peak - small_peak < large_pixels - small_pixels
 
 
+class TestSplitPatches:
+    """`split_patches` gives the whole-split tiling's bytes, a block at a time."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("side", [16, 32])  # 4 blocks with a partial last one; 1 block
+    def test_equals_load_split_then_image_patches(self, blocks_corpus, tmp_path, dtype, side):
+        root = tmp_path / "c"
+        shutil.copytree(blocks_corpus, root)
+        for rec in D.load_index(root):
+            D.write_tensor(root / rec.path, D.read_tensor(root / rec.path)[0].astype(dtype))
+        for split in D.SPLITS:
+            images, labels, _ = D.load_split(root, split)
+            want, _, want_positions = P.image_patches(images, side)
+            patches, got_labels, positions = P.split_patches(root, split, side)
+            assert patches.dtype == dtype
+            assert same_bytes(patches, want)
+            assert same_bytes(got_labels, labels)
+            assert same_bytes(positions, want_positions)
+
+    @pytest.mark.parametrize("index", [3, 8])  # inside the first block; a later block's first
+    def test_misshaped_image_is_refused(self, blocks_corpus, tmp_path, index):
+        root = tmp_path / "c"
+        shutil.copytree(blocks_corpus, root)
+        records = D.split_records(root, "train")
+        assert P.EMBED_CHUNK // (BLOCKS_CORPUS.side // ARCH.side) ** 2 == 8
+        for rec in records[index : 8 * (index // 8 + 1)]:  # to the end of the image's block
+            D.write_tensor(root / rec.path, np.zeros((32, 32, 3), np.float32))
+        with pytest.raises(FormatError, match=re.escape(records[index].path)):
+            P.split_patches(root, "train", ARCH.side)
+
+    def test_peak_memory_stays_near_the_result(self, blocks_corpus, monkeypatch):
+        monkeypatch.setattr(P, "EMBED_CHUNK", 32)  # 2-image blocks: 14 of them in train
+
+        def traced(fn):
+            fn()  # warm-up
+            tracemalloc.start()
+            try:
+                out = fn()
+                return tracemalloc.get_traced_memory()[1], out.nbytes
+            finally:
+                tracemalloc.stop()
+
+        peak, size = traced(lambda: P.split_patches(blocks_corpus, "train", ARCH.side)[0])
+        assert peak < 1.5 * size
+        # the whole split and its tiles at once
+        peak, size = traced(
+            lambda: P.image_patches(D.load_split(blocks_corpus, "train")[0], ARCH.side)[0])
+        assert peak > 1.9 * size
+
+
 class TestFinetune:
     def test_progress_gets_each_history_record(self, tmp_path, params):
         cfg = D.CorpusConfig(counts=(2, 1, 1), magnifications=(10,), side=32, seed=0)
         D.generate_corpus(cfg, tmp_path / "c")
         mil_cfg = ML.MILConfig(feature_dim=ARCH.feature_dim, heads=2, seed=0)
         records = []
-        _, _, history = P.finetune_mil(tmp_path / "c", params, ARCH,
+        _, _, history = P.finetune_mil(*finetune_splits(tmp_path / "c"), params, ARCH,
                                        dataclasses.replace(mil_cfg, epochs=3, batch_size=4),
                                        progress=records.append)
         assert [h["epoch"] for h in history] == [0, 1, 2]
@@ -276,17 +331,38 @@ class TestFinetune:
             return cross_entropy(logits, labels)
 
         monkeypatch.setattr(ML, "cross_entropy", spy)
-        _, _, history = P.finetune_mil(tmp_path / "c", params, ARCH, mil_cfg)
+        _, _, history = P.finetune_mil(*finetune_splits(tmp_path / "c"), params, ARCH, mil_cfg)
         assert [h["epoch"] for h in history] == [0, 1]
         # 14 training images: three full batches of 4 per epoch
         assert sizes == [4, 4, 4] * 2
+
+    def test_batches_are_whole_images_in_permutation_order(self, tmp_path, params, monkeypatch):
+        cfg = D.CorpusConfig(counts=(2, 1, 1), magnifications=(10,), side=32, seed=0)
+        D.generate_corpus(cfg, tmp_path / "c")
+        mil_cfg = ML.MILConfig(feature_dim=ARCH.feature_dim, heads=2, epochs=1, batch_size=4,
+                               seed=0)
+        inputs, embed_patch = [], bb.embed_patch
+
+        def spy(patches, *args):
+            inputs.append(np.array(patches))
+            return embed_patch(patches, *args)
+
+        monkeypatch.setattr(bb, "embed_patch", spy)
+        P.finetune_mil(*finetune_splits(tmp_path / "c"), params, ARCH, mil_cfg)
+        images, _, _ = D.load_split(tmp_path / "c", "train")
+        order = np.random.default_rng(mil_cfg.seed).permutation(len(images))
+        # 14 training images: three batches of 4, then the val scoring's forwards
+        assert len(inputs) > 3
+        for start, got in zip((0, 4, 8), inputs):
+            want = P.image_patches(images[order[start : start + 4]], ARCH.side)[0]
+            assert same_bytes(got, want)
 
     def test_batch_size_below_one_is_config_error(self, tmp_path, params):
         cfg = D.CorpusConfig(counts=(2, 1, 1), magnifications=(10,), side=32, seed=0)
         D.generate_corpus(cfg, tmp_path / "c")
         mil_cfg = ML.MILConfig(feature_dim=ARCH.feature_dim, heads=2, seed=0)
         with pytest.raises(ConfigError, match="at least 1, got 0"):
-            P.finetune_mil(tmp_path / "c", params, ARCH,
+            P.finetune_mil(*finetune_splits(tmp_path / "c"), params, ARCH,
                            dataclasses.replace(mil_cfg, epochs=1, batch_size=0))
 
 

@@ -12,10 +12,13 @@ For each seed the record holds the stage wall seconds (corpus generation plus
 `ablation`'s stages), the total wall seconds, CPU seconds (the child itself
 plus its reaped children), peak RSS (the child's own, and the largest of its
 reaped children's, such as the block embedders `parallel.fork_map` forks, so
-memory moved into a child still shows), the full report and its sha256, and the
-margin of each of the three desk gates. Over the seeds it holds the mean, std
-and min of each of these numbers, the `DESK_*` constants, the environment and
-the git revision.
+memory moved into a child still shows), the child's own peak RSS at the end of
+each stage, the full report and its sha256, and the margin of each of the three
+desk gates. Peak RSS only rises, so a stage raised the child's peak when its
+mark is above that of the stage that ended before it; `ablation` alternates
+its probes and SSL rows, so each of the two is marked at its last end. Over
+the seeds it holds the mean, std and min of each of these numbers, the
+`DESK_*` constants, the environment and the git revision.
 
 The gates are judged at `DESK_SEED` only: the exit code is 1 when one fails
 there. A gate that fails at another seed is recorded, not re-seeded. Five
@@ -40,6 +43,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -61,6 +65,10 @@ def desk_constants() -> dict:
     return {k: v for k, v in vars(gate_file()).items() if k.startswith("DESK_")}
 
 
+def _own_peak_rss_mb() -> float:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # Linux reports KiB
+
+
 def run_seed(seed: int) -> dict:
     """One desk at `seed`, in this process; returns its record."""
     from patchmil import data as D
@@ -69,18 +77,33 @@ def run_seed(seed: int) -> dict:
 
     gate = gate_file()
     corpus_cfg, ssl_cfg, mil_cfg = gate.desk_configs(seed)
+    marks = {}
+    timed = P._timed
+
+    @contextmanager
+    def marked(seconds, stage):  # `ablation`'s stage timer, with the peak RSS at its end
+        with timed(seconds, stage):
+            yield
+        marks[stage] = _own_peak_rss_mb()
+
     start = time.perf_counter()
     with tempfile.TemporaryDirectory(prefix="desk-") as tmp:
         corpus = Path(tmp) / "corpus"
         D.generate_corpus(corpus_cfg, corpus)
         corpus_s = time.perf_counter() - start
-        report, stage_seconds = P.ablation(corpus, ssl_cfg, mil_cfg, gate.DESK_FT_EPOCHS)
+        corpus_mark = _own_peak_rss_mb()
+        P._timed = marked
+        try:
+            report, stage_seconds = P.ablation(corpus, ssl_cfg, mil_cfg, gate.DESK_FT_EPOCHS)
+        finally:
+            P._timed = timed
     wall = time.perf_counter() - start
     own, children = (resource.getrusage(who)
                      for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN))
     return {
         "seed": seed,
         "stage_s": {"corpus": corpus_s, **stage_seconds},
+        "stage_peak_rss_mb": {"corpus": corpus_mark, **{k: marks[k] for k in stage_seconds}},
         "wall_s": wall,
         "cpu_s": own.ru_utime + own.ru_stime + children.ru_utime + children.ru_stime,
         "peak_rss_mb": own.ru_maxrss / 1024,  # Linux reports KiB
@@ -94,6 +117,7 @@ def run_seed(seed: int) -> dict:
 def numbers(record: dict) -> dict:
     """A seed record's numbers by flat name: times, memory, report metrics, gate margins."""
     flat = {f"stage_s.{k}": v for k, v in record["stage_s"].items()}
+    flat.update({f"stage_peak_rss_mb.{k}": v for k, v in record["stage_peak_rss_mb"].items()})
     flat.update(wall_s=record["wall_s"], cpu_s=record["cpu_s"], peak_rss_mb=record["peak_rss_mb"],
                 children_peak_rss_mb=record["children_peak_rss_mb"])
     for row, metrics in record["report"].items():
