@@ -20,15 +20,15 @@ from .errors import ConfigError, ContractViolation
 from .tensor import Tensor
 
 
+# Fixed global-branch geometry: its 4-pixel tokens, merged 2x2, land on the local x8 grid.
+PATCHIFY, ATTN_BLOCKS, ATTN_HEADS, WINDOW = 4, 2, 4, 4
+
+
 @dataclass(frozen=True)
 class ArchConfig:
     side: int = 32
     local_channels: tuple = (16, 32, 64)
-    patchify: int = 4
     global_dim: int = 64
-    attn_blocks: int = 2
-    heads: int = 4
-    window: int = 4
     embed_dim: int = 64  # D
     parts: int = 4  # K
 
@@ -41,19 +41,19 @@ class ArchConfig:
         return self.side // 8
 
     def validate(self) -> None:
-        for name in ("side", "patchify", "global_dim", "heads", "window", "embed_dim", "parts"):
+        for name in ("side", "global_dim", "embed_dim", "parts"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be at least 1, got {getattr(self, name)}")
         if not self.local_channels or min(self.local_channels) < 1:
             raise ConfigError(f"local_channels must be positive, got {self.local_channels}")
+        if len(self.local_channels) != 3:  # three stride-2 convs: the x8 grid
+            raise ConfigError(f"local_channels must hold 3 widths, got {self.local_channels}")
         if self.side % 8 != 0:
             raise ConfigError(f"input side {self.side} not divisible by 8")
-        token_side = self.side // self.patchify
-        if token_side % self.window != 0:
-            raise ConfigError(
-                f"window {self.window} does not divide token grid {token_side}"
-            )
-        if self.global_dim % self.heads != 0:
+        token_side = self.side // PATCHIFY
+        if token_side % WINDOW != 0:
+            raise ConfigError(f"window {WINDOW} does not divide token grid {token_side}")
+        if self.global_dim % ATTN_HEADS != 0:
             raise ConfigError("global_dim must be divisible by heads")
 
 
@@ -97,12 +97,12 @@ def init_backbone(rng: np.random.Generator, cfg: ArchConfig) -> dict:
         p[f"lb{i}_w"] = T.parameter(_kaiming_uniform(rng, (3, 3, c_in, c_out), 3 * 3 * c_in))
         p[f"lb{i}_b"] = T.parameter(np.zeros(c_out))
         c_in = c_out
-    fan = cfg.patchify * cfg.patchify * 3
+    fan = PATCHIFY * PATCHIFY * 3
     p["gb_patch_w"] = T.parameter(
-        _kaiming_uniform(rng, (cfg.patchify, cfg.patchify, 3, cfg.global_dim), fan)
+        _kaiming_uniform(rng, (PATCHIFY, PATCHIFY, 3, cfg.global_dim), fan)
     )
     p["gb_patch_b"] = T.parameter(np.zeros(cfg.global_dim))
-    for b in range(cfg.attn_blocks):
+    for b in range(ATTN_BLOCKS):
         block_init(rng, p, f"gb{b}", cfg.global_dim)
     return p
 
@@ -176,28 +176,24 @@ def _window_merge(x: Tensor, win: int, n: int, h: int, w: int) -> Tensor:
     return x.reshape(n, h, w, c)
 
 
-def _global_branch(x: Tensor, params: dict, cfg: ArchConfig) -> Tensor:
-    tokens = T.conv2d(
-        x, params["gb_patch_w"], params["gb_patch_b"], stride=cfg.patchify
-    )  # (N, s, s, d)
-    n, h, w, d = tokens.shape
-    win = cfg.window
-    for blk in range(cfg.attn_blocks):
+def _global_branch(x: Tensor, params: dict) -> Tensor:
+    tokens = T.conv2d(x, params["gb_patch_w"], params["gb_patch_b"], stride=PATCHIFY)
+    n, h, w, d = tokens.shape  # (N, side/4, side/4, global_dim)
+    for blk in range(ATTN_BLOCKS):
         shifted = blk % 2 == 1
         t = tokens
         if shifted:
-            t = T.roll(t, (-(win // 2), -(win // 2)), axis=(1, 2))
+            t = T.roll(t, (-(WINDOW // 2), -(WINDOW // 2)), axis=(1, 2))
         normed = _layernorm(t, params[f"gb{blk}_ln1_g"], params[f"gb{blk}_ln1_b"])
-        wins = _window_partition(normed, win)
-        attended = multihead_attention(wins, params, f"gb{blk}", cfg.heads)[0]  # map freed now
-        attended = _window_merge(attended, win, n, h, w)
+        wins = _window_partition(normed, WINDOW)
+        attended = multihead_attention(wins, params, f"gb{blk}", ATTN_HEADS)[0]  # map freed now
+        attended = _window_merge(attended, WINDOW, n, h, w)
         t = feed_forward(t + attended, params, f"gb{blk}")
         if shifted:
-            t = T.roll(t, (win // 2, win // 2), axis=(1, 2))
+            t = T.roll(t, (WINDOW // 2, WINDOW // 2), axis=(1, 2))
         tokens = t
     # 2x2 token merge so the global grid matches the local branch (x8 total)
-    merge = h // cfg.grid
-    tokens = tokens.reshape(n, h // merge, merge, w // merge, merge, d)
+    tokens = tokens.reshape(n, h // 2, 2, w // 2, 2, d)
     return tokens.mean(axis=(2, 4))
 
 
@@ -215,7 +211,7 @@ def embed_patch(patch, params: dict, cfg: ArchConfig) -> Tensor:
     x = T.as_tensor(patch)
     if x.ndim != 4 or x.shape[1:] != (cfg.side, cfg.side, 3):
         raise ContractViolation(f"expected (N, {cfg.side}, {cfg.side}, 3) patches, got {x.shape}")
-    return T.concat([_local_branch(x, params, cfg), _global_branch(x, params, cfg)], axis=3)
+    return T.concat([_local_branch(x, params, cfg), _global_branch(x, params)], axis=3)
 
 
 def gap(m: Tensor) -> Tensor:
@@ -228,14 +224,12 @@ def global_embed(m: Tensor, heads: dict) -> Tensor:
     return _mlp(gap(m), heads, "g_sg")
 
 
-def part_attention(m: Tensor, heads: dict, cfg: ArchConfig):
+def part_attention(m: Tensor, heads: dict):
     """Spatial-part pooling: per-part softmax attention over grid locations.
 
     Returns (A, Z): A is (..., h*w, K) with each part's column summing to 1
     over locations (logits from `g_so`); Z is (..., K, D) part projections (`g_sp`).
     """
-    if cfg.parts < 1:
-        raise ConfigError(f"parts count must be >= 1, got {cfg.parts}")
     lead = m.shape[:-3]
     h, w, c = m.shape[-3:]
     flat = m.reshape(lead + (h * w, c))

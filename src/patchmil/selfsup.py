@@ -291,7 +291,7 @@ class SSLState:
 def _project(views: np.ndarray, encoder: dict, heads: dict, arch: bb.ArchConfig) -> tuple:
     """Encoder plus projection heads, student or teacher: (global, parts) embeddings."""
     m = bb.embed_patch(views, encoder, arch)
-    return bb.global_embed(m, heads), bb.part_attention(m, heads, arch)[1]
+    return bb.global_embed(m, heads), bb.part_attention(m, heads)[1]
 
 
 def _pair_terms(state: SSLState, views_s, views_t):

@@ -17,10 +17,7 @@ def float64_mode():
 
 
 CFG = B.ArchConfig()
-SMALL = B.ArchConfig(
-    side=16, local_channels=(4, 4, 8), global_dim=8, heads=2, window=4,
-    embed_dim=8, parts=2,
-)
+SMALL = B.ArchConfig(side=16, local_channels=(4, 4, 8), global_dim=8, embed_dim=8, parts=2)
 
 
 def make(cfg=CFG, seed=0):
@@ -81,24 +78,41 @@ class TestEmbedPatch:
         with pytest.raises(ContractViolation):
             B.embed_patch(np.zeros((16, 16, 3)), params, CFG)
 
-    @pytest.mark.parametrize("blocks", [1, 3])
-    def test_attn_blocks_set_the_blocks_and_the_output_shape(self, blocks):
-        cfg = dataclasses.replace(SMALL, attn_blocks=blocks)
-        params = B.init_backbone(np.random.default_rng(0), cfg)
+    def test_two_attention_blocks_in_key_order(self):
+        params = B.init_backbone(np.random.default_rng(0), SMALL)
         block = ("ln1_g", "ln1_b", "qkv_w", "qkv_b", "proj_w", "proj_b",
                  "ln2_g", "ln2_b", "mlp1_w", "mlp1_b", "mlp2_w", "mlp2_b")
         assert list(params) == (
             [f"lb{i}_{wb}" for i in range(3) for wb in "wb"] + ["gb_patch_w", "gb_patch_b"]
-            + [f"gb{b}_{name}" for b in range(blocks) for name in block]
+            + [f"gb{b}_{name}" for b in range(2) for name in block]
         )
-        x = np.random.default_rng(2).uniform(size=(2, cfg.side, cfg.side, 3))
-        assert B.embed_patch(x, params, cfg).shape == (2, cfg.grid, cfg.grid, cfg.feature_dim)
+
+    def test_every_side_that_validates_embeds(self):
+        embedded = []
+        for side in range(8, 129, 8):
+            cfg = dataclasses.replace(SMALL, side=side)
+            try:
+                cfg.validate()
+            except ConfigError:
+                with pytest.raises(ConfigError):
+                    B.init_backbone(np.random.default_rng(0), cfg)
+                continue
+            params = B.init_backbone(np.random.default_rng(0), cfg)
+            x = np.random.default_rng(2).uniform(size=(1, side, side, 3))
+            assert B.embed_patch(x, params, cfg).shape == (1, cfg.grid, cfg.grid, cfg.feature_dim)
+            embedded.append(side)
+        assert embedded == list(range(16, 129, 16))
 
     def test_window_config_validation(self):
-        with pytest.raises(ConfigError):
-            B.ArchConfig(window=3).validate()
+        with pytest.raises(ConfigError, match="window 4 does not divide token grid 6"):
+            B.ArchConfig(side=24).validate()
         with pytest.raises(ConfigError):
             B.ArchConfig(parts=0).validate()
+
+    def test_local_branch_needs_three_convs(self):
+        for channels in ((8, 16), (8, 16, 32, 64)):
+            with pytest.raises(ConfigError, match="local_channels must hold 3 widths"):
+                B.ArchConfig(local_channels=channels).validate()
 
 
 class TestGlobalEmbed:
@@ -130,13 +144,13 @@ class TestPartAttention:
         student["g_so_w"].data[...] = 0.0
         student["g_so_b"].data[...] = 0.0
         m = T.Tensor(np.random.default_rng(8).normal(size=(4, 4, 128)))
-        attn, _ = B.part_attention(m, student, CFG)
+        attn, _ = B.part_attention(m, student)
         np.testing.assert_allclose(attn.data, np.full((16, 4), 1 / 16), atol=1e-12)
 
     def test_columns_sum_to_one(self):
         _, student, _ = make()
         m = T.Tensor(np.random.default_rng(9).normal(size=(4, 4, 128)))
-        attn, _ = B.part_attention(m, student, CFG)
+        attn, _ = B.part_attention(m, student)
         np.testing.assert_allclose(attn.data.sum(axis=0), np.ones(4), atol=1e-6)
 
     def test_one_hot_attention_limit(self):
@@ -147,7 +161,7 @@ class TestPartAttention:
         m[2, 3, 0] = 1.0
         heads["g_so_w"].data[...] = 0.0
         heads["g_so_w"].data[0, :] = 50.0
-        attn, z = B.part_attention(T.Tensor(m), heads, CFG)
+        attn, z = B.part_attention(T.Tensor(m), heads)
         flat = m.reshape(16, 128)
         j = 2 * 4 + 3
         np.testing.assert_allclose(attn.data[j], np.ones(4), atol=1e-9)
@@ -156,7 +170,7 @@ class TestPartAttention:
     def test_matches_dense_multiply_oracle(self):
         heads = identity_heads(CFG)
         m = np.abs(np.random.default_rng(10).normal(size=(4, 4, 128)))
-        attn, z = B.part_attention(T.Tensor(m), heads, CFG)
+        attn, z = B.part_attention(T.Tensor(m), heads)
         flat = m.reshape(16, 128)
         expected = np.einsum("jk,jc->kc", attn.data, flat)[:, :64]
         np.testing.assert_allclose(z.data, expected, atol=1e-9)
@@ -186,7 +200,7 @@ class TestGradients:
         def loss(t):
             trial = dict(heads)
             trial["g_so_w"] = t
-            _, z = B.part_attention(m, trial, SMALL)
+            _, z = B.part_attention(m, trial)
             return (z * z).sum()
 
         err = T.check_gradient(loss, heads["g_so_w"].data, step=1e-5)

@@ -533,6 +533,8 @@ class TestMIL:
         ("mil", "heads", 0, "meta key 'mil' is invalid: heads must be at least 1, got 0"),
         ("arch", "local_channels", [], "meta key 'arch' is invalid: local_channels must be "
          "positive, got ()"),
+        ("arch", "local_channels", [8, 16], "meta key 'arch' is invalid: local_channels must "
+         "hold 3 widths, got (8, 16)"),
     ])
     def test_invalid_config_meta_is_a_checkpoint_error(
         self, corpus, mil_run, tmp_path, capsys, key, field, value, message
@@ -560,6 +562,24 @@ class TestMIL:
         assert capsys.readouterr().err == (
             f"error: checkpoint {tmp_path / 'run' / 'checkpoint'} meta key 'mil' "
             "has unknown key 'bias_radius'\n"
+        )
+
+    @pytest.mark.parametrize("command", ["evaluate", "linear-probe"])
+    def test_run_saved_with_the_removed_arch_keys_is_refused(
+        self, corpus, mil_run, tmp_path, capsys, command
+    ):
+        # the arch meta of a run saved while the global branch's geometry was ArchConfig fields
+        groups, meta = D.load_checkpoint(mil_run / "checkpoint")
+        meta["arch"].update(attn_blocks=2, heads=4, patchify=4, window=4)
+        checkpoint = tmp_path / "run" / "checkpoint"
+        D.save_checkpoint(checkpoint, groups, meta=meta)
+        if command == "evaluate":
+            argv = [command, "--corpus", str(corpus), "--mil-run", str(tmp_path / "run")]
+        else:
+            argv = [command, "--corpus", str(corpus), "--checkpoint", str(checkpoint)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            f"error: checkpoint {checkpoint} meta key 'arch' has unknown key 'attn_blocks'\n"
         )
 
     def test_mil_tensor_of_another_shape_is_refused(self, corpus, mil_run, tmp_path, capsys):

@@ -156,8 +156,7 @@ def test_nested_maps_in_a_worker_that_takes_several_items(one_cpu):
 
 
 def test_pretrain_in_a_worker_equals_pretrain_here(one_cpu):
-    arch = bb.ArchConfig(side=16, local_channels=(4, 4, 8), global_dim=8, heads=2, window=4,
-                         embed_dim=8, parts=2)
+    arch = bb.ArchConfig(side=16, local_channels=(4, 4, 8), global_dim=8, embed_dim=8, parts=2)
     cfg = S.SSLConfig(arch=arch, epochs=2, batch_size=4, lr=0.01, seed=5)
     patches = np.random.default_rng(3).uniform(size=(10, 16, 16, 3))
     groups = ("student", "student_heads", "teacher", "teacher_heads")
@@ -183,8 +182,10 @@ def test_ctrl_c_stops_the_caller_and_no_child_writes_a_traceback():
         "    print(r, flush=True)\n"
     )
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    # a shell's background job starts with SIGINT ignored; the child must get Python's handler
     proc = subprocess.Popen([sys.executable, "-c", code], env=env, start_new_session=True,
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                            preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL))
     try:
         assert proc.stdout.readline() == "0\n"
         os.killpg(proc.pid, signal.SIGINT)  # Ctrl-C reaches the whole process group

@@ -16,9 +16,7 @@ from patchmil import pipeline as P
 from patchmil import tensor as T
 from patchmil.errors import ConfigError, ContractViolation, FormatError
 
-ARCH = bb.ArchConfig(
-    side=16, local_channels=(4, 4, 8), global_dim=8, heads=2, window=4, embed_dim=8, parts=2
-)
+ARCH = bb.ArchConfig(side=16, local_channels=(4, 4, 8), global_dim=8, embed_dim=8, parts=2)
 # 64-pixel images hold 16 patches of ARCH.side, so a block is 8 images and
 # the 2 x 7 x 2 = 28 train images of this corpus span four blocks
 BLOCKS_CORPUS = D.CorpusConfig(counts=(2, 1, 1), magnifications=(10, 20), side=64, seed=3)

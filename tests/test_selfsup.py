@@ -21,8 +21,7 @@ def float64_mode():
 
 
 SMALL_ARCH = bb.ArchConfig(
-    side=16, local_channels=(4, 4, 8), global_dim=8, heads=2, window=4,
-    embed_dim=8, parts=2,
+    side=16, local_channels=(4, 4, 8), global_dim=8, embed_dim=8, parts=2,
 )
 
 

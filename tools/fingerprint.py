@@ -1,14 +1,14 @@
 """Bit-identity fingerprint of patchmil's outputs: one sha256 per artifact.
 
 Runs fixed-seed work in float32 and in float64 on corpora it generates in a
-temporary directory, and prints one JSON object {artifact: sha256}. The
-encoder, and the pretrain batch, lr and teacher momentum, are the desk's: the
-`DESK_*` constants of `tests/test_acceptance.py`, read through `tools/desk.py`.
+temporary directory, and prints one JSON object {artifact: sha256}. The SSL
+and MIL configs are the desk's, `desk_configs(0)` of `tests/test_acceptance.py`
+read through `tools/desk.py`, with fewer epochs.
 
-- `<dtype>/pretrain/...`: a short `selfsup.pretrain` run, its progress
-  records and its four parameter groups;
-- `<dtype>/mil/<head>/...`: the six desk heads trained for 3 epochs on the
-  frozen, z-scored bags of a random-init encoder: the history, the params,
+- `<dtype>/pretrain/...`: a one-epoch `selfsup.pretrain` run on the first
+  train patches, its progress records and its four parameter groups;
+- `<dtype>/mil/<head>/...`: the six heads of `pipeline.MIL_ROWS` trained for 3
+  epochs on the `pipeline.frozen_bags` of a random-init encoder: the history, the params,
   `evaluate_bags` on the test bags and `attention_report` of 5 test bags;
 - `<dtype>/classify_bag`: `classify_bag` of 8 test bags under random heads;
 - `<dtype>/cli/...`: every file and the stdout of a small command-line run
@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -43,12 +44,9 @@ from pathlib import Path
 
 import numpy as np
 
-import desk  # tools/desk.py, beside this file: the gate file's desk constants
+import desk  # tools/desk.py, beside this file: the gate file's desk configs
 
 PLACEHOLDER = "<RUN>"
-# pipeline.MIL_ROWS, written out so that a tree without that name is fingerprinted too
-HEADS = (("adaptive", True), ("max", True), ("mean", True), ("soft", True),
-         ("gated_attention", True), ("adaptive", False))
 SEED = 0
 
 
@@ -94,16 +92,11 @@ def _params(group: dict) -> dict:
 
 
 def fingerprint_pretrain(fp, prefix, corpus, patch_count=1024):
-    from patchmil import backbone as bb
-    from patchmil import data as D
     from patchmil import pipeline as P
     from patchmil import selfsup as S
 
-    c = desk.desk_constants()
-    cfg = S.SSLConfig(arch=bb.ArchConfig(**c["DESK_ARCH"]), epochs=1,
-                      batch_size=c["DESK_SSL_BATCH"], lr=c["DESK_SSL_LR"], seed=SEED,
-                      weights=S.LossWeights(momentum=c["DESK_TEACHER_MOMENTUM"]))
-    patches = P.image_patches(D.load_split(corpus, "train")[0], cfg.arch.side)[0]
+    cfg = dataclasses.replace(desk.gate_file().desk_configs(SEED)[1], epochs=1)
+    patches = P.split_patches(corpus, "train", cfg.arch.side)[0]
     records = []
     state = S.pretrain(patches[:patch_count], cfg, progress=records.append)
     fp.records(f"{prefix}/pretrain/progress", records)
@@ -113,20 +106,16 @@ def fingerprint_pretrain(fp, prefix, corpus, patch_count=1024):
 
 def fingerprint_heads(fp, prefix, corpus, epochs=3, n_reports=5, n_classified=8):
     from patchmil import backbone as bb
-    from patchmil import data as D
     from patchmil import mil as ML
     from patchmil import pipeline as P
 
-    arch = bb.ArchConfig(**desk.desk_constants()["DESK_ARCH"])
-    encoder = bb.init_backbone(np.random.default_rng(SEED), arch)
-    bags = {split: P.bags_from_corpus(corpus, split, encoder, arch) for split in D.SPLITS}
-    norm = P.bag_normalization(bags["train"])
-    bags = {split: P.standardize_bags(b, norm) for split, b in bags.items()}
+    _, ssl_cfg, mil_cfg = desk.gate_file().desk_configs(SEED)
+    encoder = bb.init_backbone(np.random.default_rng(SEED), ssl_cfg.arch)
+    bags, _ = P.frozen_bags(corpus, encoder, ssl_cfg.arch)
     test = bags["test"]
-    for kind, bias in HEADS:
+    for kind, bias in P.MIL_ROWS:
         name = f"{prefix}/mil/{kind}{'' if bias else '-no-bias'}"
-        cfg = ML.MILConfig(feature_dim=arch.feature_dim, pooling=kind, use_position_bias=bias,
-                           epochs=epochs, seed=SEED)
+        cfg = dataclasses.replace(mil_cfg, pooling=kind, use_position_bias=bias, epochs=epochs)
         params, history = ML.train_mil(bags["train"], bags["val"], cfg)
         fp.records(f"{name}/history", history)
         fp.arrays(f"{name}/params", _params(params))
@@ -137,9 +126,8 @@ def fingerprint_heads(fp, prefix, corpus, epochs=3, n_reports=5, n_classified=8)
                    "attention": np.stack([a for _, a in reports])})
     # random heads: every pooling kind, with a random position-bias table
     logits = {}
-    for k, (kind, bias) in enumerate(HEADS):
-        cfg = ML.MILConfig(feature_dim=arch.feature_dim, pooling=kind, use_position_bias=bias,
-                           seed=100 + k)
+    for k, (kind, bias) in enumerate(P.MIL_ROWS):
+        cfg = dataclasses.replace(mil_cfg, pooling=kind, use_position_bias=bias, seed=100 + k)
         rng = np.random.default_rng(cfg.seed)
         params = ML.init_mil(rng, cfg)
         params["msa0_bias"].data[...] = rng.normal(size=params["msa0_bias"].shape)
