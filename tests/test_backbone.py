@@ -87,6 +87,20 @@ class TestEmbedPatch:
             + [f"gb{b}_{name}" for b in range(2) for name in block]
         )
 
+    @pytest.mark.parametrize("blocks", [1, 3])
+    def test_attn_blocks_set_the_blocks_and_the_output_shape(self, blocks, monkeypatch):
+        # ATTN_BLOCKS is the one source of the block count for init and forward alike.
+        monkeypatch.setattr(B, "ATTN_BLOCKS", blocks)
+        params = B.init_backbone(np.random.default_rng(0), SMALL)
+        block = ("ln1_g", "ln1_b", "qkv_w", "qkv_b", "proj_w", "proj_b",
+                 "ln2_g", "ln2_b", "mlp1_w", "mlp1_b", "mlp2_w", "mlp2_b")
+        assert list(params) == (
+            [f"lb{i}_{wb}" for i in range(3) for wb in "wb"] + ["gb_patch_w", "gb_patch_b"]
+            + [f"gb{b}_{name}" for b in range(blocks) for name in block]
+        )
+        x = np.random.default_rng(2).uniform(size=(2, SMALL.side, SMALL.side, 3))
+        assert B.embed_patch(x, params, SMALL).shape == (2, SMALL.grid, SMALL.grid, SMALL.feature_dim)
+
     def test_every_side_that_validates_embeds(self):
         embedded = []
         for side in range(8, 129, 8):
