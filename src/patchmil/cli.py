@@ -192,11 +192,13 @@ def _load_backbone(checkpoint: str):
 
 def cmd_linear_probe(args) -> int:
     corpus = _corpus_dir(args)
-    if args.random_init and args.checkpoint:
+    if args.random_init is not None and args.checkpoint:
         raise ConfigError("linear-probe takes --checkpoint or --random-init, not both")
-    if args.random_init:
+    if args.random_init is not None:
+        if args.random_init < 0:
+            raise ConfigError(f"--random-init takes a seed of at least 0, got {args.random_init}")
         arch = bb.ArchConfig()
-        params = bb.init_backbone(np.random.default_rng(args.seed), arch)
+        params = bb.init_backbone(np.random.default_rng(args.random_init), arch)
     elif args.checkpoint:
         params, arch = _load_backbone(args.checkpoint)
     else:
@@ -231,10 +233,10 @@ def cmd_train_mil(args) -> int:
             writer.writerow(record)
             fh.flush()
 
-        if args.finetune:
+        if args.finetune is not None:
             encoder, params, _ = P.finetune_mil(  # the splits are freed before the test bags
                 *(P.split_patches(corpus, split, arch.side) for split in ("train", "val")),
-                backbone_params, arch, mil_cfg, lr=args.finetune_lr, progress=log)
+                backbone_params, arch, mil_cfg, lr=args.finetune, progress=log)
             test_bags = P.bags_from_corpus(corpus, "test", encoder, arch)
             groups["student"] = encoder
         else:
@@ -251,7 +253,7 @@ def cmd_train_mil(args) -> int:
             "arch": dataclasses.asdict(arch),
             "mil": dataclasses.asdict(mil_cfg),
             "backbone_checkpoint": str(args.checkpoint),
-            "finetuned": bool(args.finetune),
+            "finetuned": args.finetune is not None,
         },
     )
     (run / "report.json").write_text(MM.report_json({"mil": report}))
@@ -388,7 +390,7 @@ def _flag_default(key: str, value, action: argparse.Action):
         raise ConfigError(f"{key} must be {kind}, not {json.dumps(value)}")
     if action.choices is not None and value not in action.choices:
         raise ConfigError(f"{key} must be one of {', '.join(action.choices)}, not {value!r}")
-    return float(value) if action.type is float else value
+    return float(value) if action.type is float and value is not None else value
 
 
 def build_parser() -> tuple[argparse.ArgumentParser, dict]:
@@ -429,9 +431,10 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.set_defaults(func=cmd_pretrain)
 
     p = sub.add_parser("linear-probe", help="frozen-encoder linear classification")
-    common(p)
+    common(p, seed=False)
     p.add_argument("--checkpoint", default=None)
-    p.add_argument("--random-init", action="store_true")
+    p.add_argument("--random-init", type=int, nargs="?", const=0, default=None, metavar="SEED",
+                   help="probe the default encoder initialised at seed SEED (%(const)s)")
     p.add_argument("--json", default=None)
     p.set_defaults(func=cmd_linear_probe)
 
@@ -439,9 +442,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     common(p)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--finetune", action="store_true",
-                   help="also train the encoder end to end instead of freezing it")
-    p.add_argument("--finetune-lr", type=float, default=P.FINETUNE_LR)
+    p.add_argument("--finetune", type=float, nargs="?", const=P.FINETUNE_LR, default=None,
+                   metavar="LR", help="also train the encoder end to end, at lr LR (%(const)s)")
     p.add_argument("--pooling", default=mil_cfg.pooling, choices=ML.POOLING_KINDS)
     p.add_argument("--epochs", type=int, default=mil_cfg.epochs)
     p.add_argument("--batch-size", type=int, default=mil_cfg.batch_size)

@@ -212,6 +212,10 @@ class CorpusConfig:
         repeated = sorted({m for m in self.magnifications if self.magnifications.count(m) > 1})
         if repeated:  # each image would be indexed, and read into its split, twice
             raise ContractViolation(f"repeated magnifications {repeated}")
+        if self.side < 1:
+            raise ContractViolation(f"image side must be at least 1, got {self.side}")
+        if self.seed < 0:
+            raise ContractViolation(f"seed must be at least 0, got {self.seed}")
 
 
 @dataclass

@@ -81,6 +81,8 @@ class MILConfig:
             raise ConfigError(f"batch size must be at least 1, got {self.batch_size}")
         if self.epochs < 0:
             raise ConfigError(f"epochs must be at least 0, got {self.epochs}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be at least 0, got {self.seed}")
 
 
 def init_mil(rng: np.random.Generator, cfg: MILConfig) -> dict:

@@ -74,6 +74,8 @@ class SSLConfig:
             raise ConfigError(f"batch size must be at least 2, got {self.batch_size}")
         if self.epochs < 0:
             raise ConfigError(f"epochs must be at least 0, got {self.epochs}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be at least 0, got {self.seed}")
 
 
 # ---------------------------------------------------------------------------

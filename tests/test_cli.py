@@ -1,6 +1,7 @@
 """End-to-end command-line behavior on a miniature corpus."""
 
 import csv
+import io
 import json
 import os
 import shutil
@@ -62,6 +63,15 @@ def pretrain_run(tmp_path_factory, corpus):
         ]
     )
     assert code == 0
+    return run
+
+
+@pytest.fixture(scope="module")
+def finetune_run(tmp_path_factory, corpus, pretrain_run):
+    run = tmp_path_factory.mktemp("runs") / "finetune"
+    argv = ["train-mil", "--corpus", str(corpus), "--checkpoint", str(pretrain_run / "checkpoint"),
+            "--out", str(run), "--finetune", "0.01", "--epochs", "2", "--batch-size", "8"]
+    assert main(argv) == 0
     return run
 
 
@@ -138,6 +148,7 @@ class TestUsageErrors:
         ("evaluate", "seed", "1", ["--mil-run", "r"]),
         ("export-attention", "seed", "1", ["--mil-run", "r", "--out", "a"]),
         ("linear-probe", "parts", "2", ["--random-init"]),
+        ("linear-probe", "seed", "3", ["--random-init"]),
     ])
     def test_flags_that_changed_nothing_are_refused(
         self, corpus, tmp_path, capsys, command, flag, value, required
@@ -193,11 +204,41 @@ class TestUsageErrors:
         assert not run.exists()  # no config.json marks a finished run
 
     @pytest.mark.parametrize(
+        "command, code, says",
+        [
+            ("generate-data", 1, "error: seed must be at least 0, got -1"),
+            ("pretrain", 2, "usage error: seed must be at least 0, got -1"),
+            ("train-mil", 2, "usage error: seed must be at least 0, got -1"),
+            ("ablate", 2, "usage error: seed must be at least 0, got -1"),
+            ("linear-probe", 2, "usage error: --random-init takes a seed of at least 0, got -1"),
+        ],
+        ids=["generate-data", "pretrain", "train-mil", "ablate", "linear-probe"],
+    )
+    def test_negative_seed_is_refused_before_any_work(
+        self, corpus, pretrain_run, tmp_path, capsys, command, code, says
+    ):
+        run = tmp_path / "r"
+        argv = {
+            "generate-data": ["--counts", "1,1,1", "--magnifications", "10", "--seed", "-1"],
+            "pretrain": ["--corpus", str(corpus), "--seed", "-1"],
+            "train-mil": ["--corpus", str(corpus), "--seed", "-1",
+                          "--checkpoint", str(pretrain_run / "checkpoint")],
+            "ablate": ["--corpus", str(corpus), "--seed", "-1"],
+            "linear-probe": ["--corpus", str(corpus), "--random-init", "-1"],
+        }[command]
+        if command != "linear-probe":
+            argv += ["--out", str(run)]
+        assert main([command, *argv]) == code
+        assert capsys.readouterr().err == says + "\n"
+        assert not run.exists()
+
+    @pytest.mark.parametrize(
         "command, key, value, says",
         [
             ("pretrain", "epochs", 1.5, "epochs must be an integer, not 1.5"),
             ("pretrain", "loss", ["global", "parts"], 'loss must be a string, not ["global", "parts"]'),
-            ("train-mil", "finetune", "yes", 'finetune must be true or false, not "yes"'),
+            ("train-mil", "no_position_bias", "yes",
+             'no_position_bias must be true or false, not "yes"'),
             ("evaluate", "split", "all", "split must be one of train, val, test, not 'all'"),
         ],
         ids=["float-for-int", "list", "string-for-store-true", "not-a-choice"],
@@ -317,6 +358,16 @@ class TestCheckpointTensors:
             f"error: checkpoint {tmp_path / 'ck'} group 'student' has shape (3,) for 'gb9_ln1_g'; "
             "its config gives no tensor\n"
         )
+
+
+class TestLinearProbe:
+    @pytest.mark.parametrize("flags, seed", [([], 0), (["3"], 3)], ids=["bare", "seed-3"])
+    def test_random_init_takes_its_seed(self, corpus, capsys, flags, seed):
+        assert main(["linear-probe", "--corpus", str(corpus), "--random-init", *flags]) == 0
+        arch = bb.ArchConfig()
+        params = bb.init_backbone(np.random.default_rng(seed), arch)
+        report = P.linear_probe_metrics(corpus, params, arch)
+        assert capsys.readouterr().out == MM.report_json({"linear_probe": report}) + "\n"
 
 
 class TestPretrain:
@@ -490,7 +541,56 @@ class TestMIL:
         assert {k: v for k, v in a.items() if k != "out"} == {
             k: v for k, v in b.items() if k != "out"
         }
+        assert b["finetune"] is None  # a frozen run: JSON null
         assert (run / "history.csv").read_text() == (mil_run / "history.csv").read_text()
+
+    def test_finetune_config_file_round_trip(self, corpus, pretrain_run, finetune_run, tmp_path):
+        run = tmp_path / "r"
+        argv = ["train-mil", "--config", str(finetune_run / "config.json"), "--corpus",
+                str(corpus), "--checkpoint", str(pretrain_run / "checkpoint"), "--out", str(run)]
+        assert main(argv) == 0
+        a = json.loads((run / "config.json").read_text())
+        b = json.loads((finetune_run / "config.json").read_text())
+        assert {k: v for k, v in a.items() if k != "out"} == {
+            k: v for k, v in b.items() if k != "out"
+        }
+        assert b["finetune"] == 0.01
+        assert (run / "history.csv").read_text() == (finetune_run / "history.csv").read_text()
+
+    def test_finetune_lr_reaches_finetune_mil(self, corpus, pretrain_run, finetune_run):
+        groups, _ = D.load_checkpoint(pretrain_run / "checkpoint")
+        arch = bb.ArchConfig()
+        cfg = ML.MILConfig(feature_dim=arch.feature_dim, epochs=2, batch_size=8)
+        records = []
+        P.finetune_mil(*(P.split_patches(corpus, split, arch.side) for split in ("train", "val")),
+                       groups["student"], arch, cfg, lr=0.01, progress=records.append)
+        want = io.StringIO()
+        writer = csv.DictWriter(want, ["epoch", "loss", "train_acc", "val_acc"], restval="")
+        writer.writeheader()
+        writer.writerows(records)
+        assert (finetune_run / "history.csv").read_bytes().decode() == want.getvalue()
+        _, meta = D.load_checkpoint(finetune_run / "checkpoint")
+        assert meta["finetuned"] is True
+
+    def test_config_of_the_finetune_lr_flag_is_refused(
+        self, corpus, pretrain_run, mil_run, tmp_path, capsys
+    ):
+        # a train-mil config written while --finetune was a switch beside --finetune-lr
+        config = json.loads((mil_run / "config.json").read_text())
+        config.update(finetune=False, finetune_lr=P.FINETUNE_LR)
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps(config))
+        run = tmp_path / "r"
+        argv = ["train-mil", "--corpus", str(corpus), "--checkpoint",
+                str(pretrain_run / "checkpoint"), "--out", str(run)]
+        assert main(argv + ["--config", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            f"usage error: {path} sets finetune_lr, which 'train-mil' has no flag for\n"
+        )
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--finetune", "--finetune-lr", "0.01"])
+        assert exc.value.code == 2
+        assert not run.exists()
 
     def test_checkpoint_without_student_group(self, corpus, pretrain_run, tmp_path, capsys):
         groups, meta = D.load_checkpoint(pretrain_run / "checkpoint")

@@ -356,6 +356,13 @@ class TestCorpus:
         with pytest.raises(ContractViolation):
             D.CorpusConfig(magnifications=(15,)).validate()
 
+    @pytest.mark.parametrize("side", [0, -8])
+    def test_side_below_one_rejected_before_any_file(self, tmp_path, side):
+        cfg = D.CorpusConfig(counts=(1, 1, 1), magnifications=(10,), side=side)
+        with pytest.raises(ContractViolation, match=f"image side must be at least 1, got {side}"):
+            D.generate_corpus(cfg, tmp_path / "c")
+        assert not (tmp_path / "c").exists()
+
 
 class TestTiling:
     def test_64_to_32_four_tiles(self):
