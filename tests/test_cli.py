@@ -531,31 +531,26 @@ class TestMIL:
         evaluated = json.loads((tmp_path / "e.json").read_text())["mil[test]"]
         assert evaluated == saved
 
-    def test_config_file_round_trip(self, corpus, pretrain_run, mil_run, tmp_path):
-        run = tmp_path / "r"
-        argv = ["train-mil", "--config", str(mil_run / "config.json"), "--corpus", str(corpus),
+    @staticmethod
+    def _round_trip(corpus, pretrain_run, source, run) -> dict:
+        """Rerun `source` from its config.json into `run`; returns that config."""
+        argv = ["train-mil", "--config", str(source / "config.json"), "--corpus", str(corpus),
                 "--checkpoint", str(pretrain_run / "checkpoint"), "--out", str(run)]
         assert main(argv) == 0
-        a = json.loads((run / "config.json").read_text())
-        b = json.loads((mil_run / "config.json").read_text())
+        a, b = (json.loads((d / "config.json").read_text()) for d in (run, source))
         assert {k: v for k, v in a.items() if k != "out"} == {
             k: v for k, v in b.items() if k != "out"
         }
-        assert b["finetune"] is None  # a frozen run: JSON null
-        assert (run / "history.csv").read_text() == (mil_run / "history.csv").read_text()
+        assert (run / "history.csv").read_text() == (source / "history.csv").read_text()
+        return b
+
+    def test_config_file_round_trip(self, corpus, pretrain_run, mil_run, tmp_path):
+        config = self._round_trip(corpus, pretrain_run, mil_run, tmp_path / "r")
+        assert config["finetune"] is None  # a frozen run: JSON null
 
     def test_finetune_config_file_round_trip(self, corpus, pretrain_run, finetune_run, tmp_path):
-        run = tmp_path / "r"
-        argv = ["train-mil", "--config", str(finetune_run / "config.json"), "--corpus",
-                str(corpus), "--checkpoint", str(pretrain_run / "checkpoint"), "--out", str(run)]
-        assert main(argv) == 0
-        a = json.loads((run / "config.json").read_text())
-        b = json.loads((finetune_run / "config.json").read_text())
-        assert {k: v for k, v in a.items() if k != "out"} == {
-            k: v for k, v in b.items() if k != "out"
-        }
-        assert b["finetune"] == 0.01
-        assert (run / "history.csv").read_text() == (finetune_run / "history.csv").read_text()
+        config = self._round_trip(corpus, pretrain_run, finetune_run, tmp_path / "r")
+        assert config["finetune"] == 0.01
 
     def test_finetune_lr_reaches_finetune_mil(self, corpus, pretrain_run, finetune_run):
         groups, _ = D.load_checkpoint(pretrain_run / "checkpoint")
