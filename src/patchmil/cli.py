@@ -2,18 +2,19 @@
 
 Exit codes: 0 success, 2 usage error, 1 runtime failure. A flag that fills a
 config field takes its default from that field. This is the one module that
-writes run-directory files: the per-step `losses.csv` of `pretrain` and the
-per-epoch `history.csv` of `train-mil` come from the training loops'
-`progress(record)` callbacks. Every training
-command writes its fully resolved configuration into the run directory, and
-a run directory is never overwritten once it holds a config. The config is
-written last, after every other output of the run, so a run that crashed
-leaves a directory that the same command may run into again.
+writes run-directory files. `pretrain` and `train-mil` write each record
+that their training loop passes to `progress(record)` as one line of
+`events.jsonl`, per step and per epoch. Every training command writes its
+fully resolved configuration into the run directory, and a run directory is
+never overwritten once it holds a config. The config is written last, after
+every other output of the run, so a run that crashed leaves a directory that
+the same command may run into again.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import json
@@ -55,6 +56,13 @@ def _write_config(run: Path, args: argparse.Namespace) -> None:
     os.replace(partial, run / "config.json")
 
 
+@contextlib.contextmanager
+def _event_log(run: Path):
+    """A progress callback that writes each record to run/events.jsonl as one flushed JSON line."""
+    with open(run / "events.jsonl", "w") as fh:  # a killed run keeps its log to its last record
+        yield lambda record: print(json.dumps(record), file=fh, flush=True)
+
+
 def _corpus_dir(args) -> str:
     corpus = args.corpus or os.environ.get("PATCHMIL_CORPUS")
     if not corpus:
@@ -66,6 +74,10 @@ def _corpus_dir(args) -> str:
 
 
 def cmd_generate_data(args) -> int:
+    patch_side = bb.ArchConfig().side  # every later command cuts patches of this side
+    if args.side < patch_side:
+        raise ConfigError(f"--side must be at least {patch_side}, the encoder's patch side, "
+                          f"got {args.side}")
     cfg = D.CorpusConfig(
         counts=_parse_ints("--counts", args.counts),
         magnifications=_parse_ints("--magnifications", args.magnifications),
@@ -115,16 +127,8 @@ def cmd_pretrain(args) -> int:
     cfg.validate()
     run = _fresh_run_dir(args.out)
     patches, _, _ = P.split_patches(corpus, "train", cfg.arch.side)
-    with open(run / "losses.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["step", "L_global", "L_parts", "L_var", "L_cov", "L_all", "lr", "grad_norm"])
-
-        def log(record):  # flushed per row, so a killed run keeps its log to its last step
-            columns = ("global", "parts", "var", "cov", "all", "lr", "grad_norm")
-            writer.writerow([record["step"]] + [f"{record[k]:.6f}" for k in columns])
-            fh.flush()
-
-        state = S.pretrain(patches, cfg, progress=log)
+    with _event_log(run) as progress:
+        state = S.pretrain(patches, cfg, progress=progress)
     _save_ssl_checkpoint(run / "checkpoint", state)
     _write_config(run, args)
     print(f"pretrained {state.step_count} steps; checkpoint at {run / 'checkpoint'}")
@@ -211,6 +215,8 @@ def cmd_linear_probe(args) -> int:
 
 
 def cmd_train_mil(args) -> int:
+    if args.finetune is not None and not 0.0 <= args.finetune < np.inf:  # a nan fails both
+        raise ConfigError(f"--finetune takes a finite lr of at least 0, got {args.finetune}")
     corpus = _corpus_dir(args)
     backbone_params, arch = _load_backbone(args.checkpoint)
     mil_cfg = ML.MILConfig(
@@ -224,24 +230,16 @@ def cmd_train_mil(args) -> int:
     mil_cfg.validate()
     run = _fresh_run_dir(args.out)
     groups = {}
-    with open(run / "history.csv", "w", newline="") as fh:
-        # fine-tune records have no train_acc: restval leaves it blank
-        writer = csv.DictWriter(fh, ["epoch", "loss", "train_acc", "val_acc"], restval="")
-        writer.writeheader()
-
-        def log(record):  # flushed per epoch, so a killed run keeps its history to its last epoch
-            writer.writerow(record)
-            fh.flush()
-
+    with _event_log(run) as progress:
         if args.finetune is not None:
             encoder, params, _ = P.finetune_mil(  # the splits are freed before the test bags
                 *(P.split_patches(corpus, split, arch.side) for split in ("train", "val")),
-                backbone_params, arch, mil_cfg, lr=args.finetune, progress=log)
+                backbone_params, arch, mil_cfg, lr=args.finetune, progress=progress)
             test_bags = P.bags_from_corpus(corpus, "test", encoder, arch)
             groups["student"] = encoder
         else:
             bags, norm = P.frozen_bags(corpus, backbone_params, arch)
-            params, _ = ML.train_mil(bags["train"], bags["val"], mil_cfg, progress=log)
+            params, _ = ML.train_mil(bags["train"], bags["val"], mil_cfg, progress=progress)
             test_bags = bags["test"]
             groups["norm"] = {"mu": norm[0], "sd": norm[1]}
     report = P.bag_metrics(test_bags, params, mil_cfg)

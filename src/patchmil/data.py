@@ -371,10 +371,10 @@ def generate_corpus(config: CorpusConfig, out_dir) -> list:
 def load_index(corpus_dir) -> list:
     """The corpus's SampleRecords, in index order.
 
-    Every line must be a JSON object with exactly SampleRecord's fields, a
-    split in SPLITS and a relative path without a `..` part, since the path
-    is opened under `corpus_dir`, that no earlier line lists; any other line
-    raises FormatError.
+    Every line must be a JSON object with exactly SampleRecord's fields, an
+    int class_id that indexes CLASS_NAMES, a split in SPLITS and a relative
+    path without a `..` part, since the path is opened under `corpus_dir`,
+    that no earlier line lists; any other line raises FormatError.
     """
     path = Path(corpus_dir) / "index.jsonl"
     if not path.exists():
@@ -388,6 +388,10 @@ def load_index(corpus_dir) -> list:
             raise FormatError(f"{path} line {n} is not JSON: {exc}") from exc
         if not isinstance(entry, dict) or set(entry) != names:
             raise FormatError(f"{path} line {n} is not an object with the fields {sorted(names)}")
+        class_id = entry["class_id"]  # type, not isinstance: a JSON true is no class id
+        if type(class_id) is not int or not 0 <= class_id < len(CLASS_NAMES):
+            raise FormatError(f"{path} line {n} has class_id {class_id!r}, not one of "
+                              f"0..{len(CLASS_NAMES) - 1}")
         if entry["split"] not in SPLITS:
             raise FormatError(f"{path} line {n} has unknown split {entry['split']!r}")
         rel = entry["path"]

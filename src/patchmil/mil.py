@@ -234,16 +234,16 @@ def train_mil(train_bags, val_bags, cfg: MILConfig, progress=None):
 
     The train and val bags are each stacked once per call, so each list holds
     one instance count. Each epoch scores both stacks `SCORE_CHUNK` bags per
-    forward. Without val bags, train_acc is the val_acc.
+    forward.
     """
     cfg.validate()
-    if not train_bags:
-        raise ContractViolation("train_mil needs at least one training bag")
+    if not train_bags or not val_bags:
+        raise ContractViolation("train_mil needs at least one training bag and one val bag")
     rng = np.random.default_rng(cfg.seed)
     params = init_mil(rng, cfg)
     inst, pos = _stack(train_bags)
     labels = np.array([b.label for b in train_bags])
-    val = _stack(val_bags) if val_bags else None
+    val = _stack(val_bags)
     val_labels = np.array([b.label for b in val_bags])
 
     def batches():
@@ -255,8 +255,6 @@ def train_mil(train_bags, val_bags, cfg: MILConfig, progress=None):
 
     def scores():
         train_acc = float((_predict(inst, pos, params, cfg) == labels).mean())
-        if val is None:
-            return {"train_acc": train_acc, "val_acc": train_acc}
         val_acc = float((_predict(*val, params, cfg) == val_labels).mean())
         return {"train_acc": train_acc, "val_acc": val_acc}
 

@@ -16,8 +16,8 @@ start method), at most PREFETCH batches ahead of the training step, which
 runs in the caller. The views equal those of `view_batches`, which runs the
 same two steps in the caller. Every child is joined when `pretrain` returns
 or raises. `pretrain` writes no files: it reports every step through
-`progress(record)`, and the command line turns the records into a run's
-`losses.csv`.
+`progress(record)`, and the command line writes the records to a run's
+`events.jsonl`.
 """
 
 from __future__ import annotations
@@ -76,6 +76,8 @@ class SSLConfig:
             raise ConfigError(f"epochs must be at least 0, got {self.epochs}")
         if self.seed < 0:
             raise ConfigError(f"seed must be at least 0, got {self.seed}")
+        if not 0.0 <= self.lr < math.inf:  # a nan fails both comparisons
+            raise ConfigError(f"lr must be finite and at least 0, got {self.lr}")
 
 
 # ---------------------------------------------------------------------------

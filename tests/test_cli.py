@@ -1,7 +1,6 @@
 """End-to-end command-line behavior on a miniature corpus."""
 
 import csv
-import io
 import json
 import os
 import shutil
@@ -20,6 +19,11 @@ from patchmil import pipeline as P
 from patchmil import selfsup as S
 from patchmil.cli import main
 from patchmil.errors import NumericError
+
+
+def events(run) -> list:
+    """The records of a run's events.jsonl, one per line."""
+    return [json.loads(line) for line in (run / "events.jsonl").read_text().splitlines()]
 
 
 @pytest.fixture(scope="module")
@@ -185,8 +189,11 @@ class TestUsageErrors:
     @pytest.mark.parametrize(
         "flag, value, says",
         [("--momentum", "1.5", "momentum must be in [0, 1), got 1.5"),
-         ("--epsilon", "0", "epsilon must be positive, got 0.0")],
-        ids=["momentum-1.5", "epsilon-0"],
+         ("--epsilon", "0", "epsilon must be positive, got 0.0"),
+         ("--lr", "nan", "lr must be finite and at least 0, got nan"),
+         ("--lr", "inf", "lr must be finite and at least 0, got inf"),
+         ("--lr", "-1", "lr must be finite and at least 0, got -1.0")],
+        ids=["momentum-1.5", "epsilon-0", "lr-nan", "lr-inf", "lr-negative"],
     )
     def test_loss_weight_out_of_range_is_usage_error(
         self, corpus, tmp_path, capsys, command, flag, value, says
@@ -195,6 +202,32 @@ class TestUsageErrors:
         assert main([command, "--corpus", str(corpus), "--out", str(run), flag, value]) == 2
         assert capsys.readouterr().err == f"usage error: {says}\n"
         assert not run.exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+    def test_finetune_lr_out_of_range_is_usage_error(
+        self, corpus, pretrain_run, tmp_path, capsys, value
+    ):
+        run = tmp_path / "r"
+        argv = ["train-mil", "--corpus", str(corpus), "--checkpoint",
+                str(pretrain_run / "checkpoint"), "--out", str(run), "--finetune", value]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"usage error: --finetune takes a finite lr of at least 0, got {float(value)}\n"
+        )
+        assert not run.exists()
+
+    def test_finetune_lr_of_zero_is_taken(self, corpus, pretrain_run, tmp_path, monkeypatch):
+        lrs = []
+
+        def stop(*args, lr, progress):
+            lrs.append(lr)
+            raise NumericError("stopped before any step")
+
+        monkeypatch.setattr(P, "finetune_mil", stop)
+        argv = ["train-mil", "--corpus", str(corpus), "--checkpoint",
+                str(pretrain_run / "checkpoint"), "--out", str(tmp_path / "r"), "--finetune", "0"]
+        assert main(argv) == 1
+        assert lrs == [0.0]
 
     @pytest.mark.parametrize("command", ["pretrain", "ablate"])
     def test_ssl_batch_of_one_is_usage_error(self, corpus, tmp_path, capsys, command):
@@ -267,6 +300,17 @@ class TestGenerateData:
         assert main(args + ["--out", str(tmp_path / "b"), "--seed", "3"]) == 0
         assert D.index_checksum(tmp_path / "a") == D.index_checksum(tmp_path / "b")
 
+    @pytest.mark.parametrize("side", ["16", "31"])
+    def test_side_below_the_encoder_patch_refused_before_any_file(self, tmp_path, capsys, side):
+        out = tmp_path / "c"
+        argv = ["generate-data", "--counts", "1,1,1", "--magnifications", "10", "--side", side,
+                "--out", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"usage error: --side must be at least 32, the encoder's patch side, got {side}\n"
+        )
+        assert not out.exists()
+
     @pytest.mark.parametrize("counts", ["2,1", "2,1,1,5"])
     def test_counts_other_than_three_refused_before_any_file(self, tmp_path, capsys, counts):
         out = tmp_path / "c"
@@ -311,7 +355,10 @@ class TestCorpusIndex:
         (lambda rec, root: json.dumps(dict(rec, path="../" + rec["path"])), "has path"),
         (lambda rec, root: json.dumps(dict(rec, split="holdout")), "unknown split 'holdout'"),
         (lambda rec, root: json.dumps(rec)[:-1], "is not JSON"),
-    ], ids=["absolute-path", "dotdot-path", "unknown-split", "not-json"])
+        (lambda rec, root: json.dumps(dict(rec, class_id=9)), "has class_id 9, not one of 0..6"),
+        (lambda rec, root: json.dumps(dict(rec, class_id="x")), "has class_id 'x'"),
+    ], ids=["absolute-path", "dotdot-path", "unknown-split", "not-json", "class-id-9",
+            "class-id-string"])
     def test_probe_refuses_a_bad_index_line(self, corpus, tmp_path, capsys, edit, says):
         root = tmp_path / "c"
         shutil.copytree(corpus, root)
@@ -373,7 +420,7 @@ class TestLinearProbe:
 class TestPretrain:
     def test_run_dir_has_config_log_checkpoint(self, pretrain_run):
         assert (pretrain_run / "config.json").exists()
-        assert (pretrain_run / "losses.csv").exists()
+        assert events(pretrain_run) and not (pretrain_run / "losses.csv").exists()
         groups, meta = D.load_checkpoint(pretrain_run / "checkpoint")
         assert set(groups) == {"student", "teacher", "student_heads", "teacher_heads"}
         assert meta["arch"]["side"] == 32
@@ -414,30 +461,32 @@ class TestPretrain:
             ]
         )
         assert code == 0
-        with open(run / "losses.csv") as fh:
-            rows = list(csv.DictReader(fh))
-        assert rows
-        for row in rows:
-            assert float(row["L_parts"]) == 0.0
-            assert float(row["L_var"]) == 0.0
-            assert float(row["L_cov"]) == 0.0
+        records = events(run)
+        assert records
+        for record in records:
+            assert record["parts"] == record["var"] == record["cov"] == 0.0
 
-    def test_losses_csv_row_on_disk_before_next_step(self, corpus, tmp_path, monkeypatch):
+    def test_events_line_on_disk_before_next_step(self, corpus, tmp_path, monkeypatch):
         run = tmp_path / "r"
-        rows_on_disk = []
-        step = S.pretrain_step
+        lines_on_disk, records = [], []
+        step, pretrain = S.pretrain_step, S.pretrain
 
         def spy(*args):
-            with open(run / "losses.csv") as fh:
-                rows_on_disk.append(len(fh.read().splitlines()[1:]))  # rows after the header
+            lines_on_disk.append(len((run / "events.jsonl").read_text().splitlines()))
             return step(*args)
 
+        def recording(patches, cfg, progress):  # keeps each record the loop passes to the log
+            return pretrain(patches, cfg, lambda record: (records.append(record), progress(record)))
+
         monkeypatch.setattr(S, "pretrain_step", spy)
+        monkeypatch.setattr(S, "pretrain", recording)
         argv = ["pretrain", "--corpus", str(corpus), "--out", str(run), "--epochs", "2",
                 "--batch-size", "4"]
         assert main(argv) == 0
-        # 14 patches in batches of 4: 3 steps an epoch; row k is written before step k + 1
-        assert rows_on_disk == list(range(6))
+        # 14 patches in batches of 4: 3 steps an epoch; line k is written before step k + 1
+        assert lines_on_disk == list(range(6))
+        assert [record["epoch"] for record in records] == [0, 0, 0, 1, 1, 1]
+        assert events(run) == records  # the same keys, at full precision
 
     def test_zero_epochs_checkpoint_equals_init(self, corpus, tmp_path):
         run = tmp_path / "z"
@@ -469,6 +518,7 @@ class TestPretrain:
         assert {k: v for k, v in a.items() if k != "out"} == {
             k: v for k, v in b.items() if k != "out"
         }
+        assert (run / "events.jsonl").read_bytes() == (pretrain_run / "events.jsonl").read_bytes()
 
     def test_config_key_without_flag_rejected(self, corpus, pretrain_run, tmp_path, capsys):
         config = json.loads((pretrain_run / "config.json").read_text())
@@ -506,11 +556,26 @@ class TestMIL:
     def test_run_artifacts(self, mil_run):
         report = json.loads((mil_run / "report.json").read_text())
         assert 0.0 <= report["mil"]["acc"] <= 1.0
-        with open(mil_run / "history.csv") as fh:
-            rows = list(csv.DictReader(fh))
-        assert len(rows) == 2
+        assert [record["epoch"] for record in events(mil_run)] == [0, 1]
+        assert not (mil_run / "history.csv").exists()
         table = (mil_run / "report.txt").read_text()
         assert "ACC" in table and "MCC" in table
+
+    def test_events_are_the_train_mil_records(self, corpus, pretrain_run, tmp_path, monkeypatch):
+        records = []
+        train_mil = ML.train_mil
+
+        def recording(train, val, cfg, progress):  # keeps each record the loop passes to the log
+            return train_mil(train, val, cfg, lambda record: (records.append(record),
+                                                              progress(record)))
+
+        monkeypatch.setattr(ML, "train_mil", recording)
+        run = tmp_path / "r"
+        argv = ["train-mil", "--corpus", str(corpus), "--checkpoint",
+                str(pretrain_run / "checkpoint"), "--out", str(run), "--epochs", "2"]
+        assert main(argv) == 0
+        assert [record["epoch"] for record in records] == [0, 1]
+        assert events(run) == records  # the same keys, at full precision
 
     def test_evaluate_matches_saved_report(self, corpus, mil_run, tmp_path, capsys):
         code = main(
@@ -541,7 +606,7 @@ class TestMIL:
         assert {k: v for k, v in a.items() if k != "out"} == {
             k: v for k, v in b.items() if k != "out"
         }
-        assert (run / "history.csv").read_text() == (source / "history.csv").read_text()
+        assert (run / "events.jsonl").read_bytes() == (source / "events.jsonl").read_bytes()
         return b
 
     def test_config_file_round_trip(self, corpus, pretrain_run, mil_run, tmp_path):
@@ -559,11 +624,8 @@ class TestMIL:
         records = []
         P.finetune_mil(*(P.split_patches(corpus, split, arch.side) for split in ("train", "val")),
                        groups["student"], arch, cfg, lr=0.01, progress=records.append)
-        want = io.StringIO()
-        writer = csv.DictWriter(want, ["epoch", "loss", "train_acc", "val_acc"], restval="")
-        writer.writeheader()
-        writer.writerows(records)
-        assert (finetune_run / "history.csv").read_bytes().decode() == want.getvalue()
+        assert events(finetune_run) == records  # the same keys, at full precision
+        assert not (finetune_run / "history.csv").exists()
         _, meta = D.load_checkpoint(finetune_run / "checkpoint")
         assert meta["finetuned"] is True
 
@@ -879,10 +941,9 @@ class TestKilledRun:
             proc.kill()
         assert proc.returncode == 3, err
         assert not (run / "config.json").exists()
-        with open(run / "history.csv") as fh:
-            rows = list(csv.DictReader(fh))
-        assert [row["epoch"] for row in rows] == ["0", "1"]
-        assert all(row["loss"] and row["val_acc"] for row in rows)
+        records = events(run)
+        assert [record["epoch"] for record in records] == [0, 1]
+        assert all("loss" in record and "val_acc" in record for record in records)
 
 
 @pytest.fixture(scope="module")

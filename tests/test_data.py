@@ -259,10 +259,15 @@ class TestCorpus:
             json.dumps({**RECORD, "path": 3}),
             json.dumps({**RECORD, "image_id": "brain_10x_0001"}),
             json.dumps({**RECORD, "image_id": "brain_10x_0001", "path": "./" + RECORD["path"]}),
+            json.dumps({**RECORD, "class_id": 9}),
+            json.dumps({**RECORD, "class_id": -1}),
+            json.dumps({**RECORD, "class_id": "x"}),
+            json.dumps({**RECORD, "class_id": True}),
         ],
         ids=["not-json", "list", "missing-field", "unknown-field", "unknown-split",
              "absolute-path", "dotdot-path", "inner-dotdot-path", "int-path", "repeated-path",
-             "repeated-dot-path"],
+             "repeated-dot-path", "class-id-9", "class-id-negative", "class-id-string",
+             "class-id-true"],
     )
     def test_malformed_or_hostile_index_line(self, tmp_path, line):
         (tmp_path / "index.jsonl").write_text(json.dumps(RECORD) + "\n" + line + "\n")

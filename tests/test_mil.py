@@ -378,7 +378,7 @@ class TestTrainMil:
     def test_planted_signatures_reach_high_train_accuracy(self):
         cfg = M.MILConfig(feature_dim=16, heads=2, epochs=20, batch_size=8, seed=3)
         bags = planted_bags(cfg)
-        params, history = M.train_mil(bags, [], cfg)
+        params, history = M.train_mil(bags, bags, cfg)
         preds = M.evaluate_bags(bags, params, cfg)
         labels = np.array([b.label for b in bags])
         assert (preds == labels).mean() >= 0.99
@@ -386,10 +386,18 @@ class TestTrainMil:
     def test_zero_epochs_keeps_initialization(self):
         cfg = M.MILConfig(feature_dim=16, heads=2, epochs=0, seed=4)
         bags = planted_bags(cfg, n_per_class=2)
-        params, history = M.train_mil(bags, [], cfg)
+        params, history = M.train_mil(bags, bags, cfg)
         fresh = M.init_mil(np.random.default_rng(cfg.seed), cfg)
         for key in params:
             np.testing.assert_array_equal(params[key].data, fresh[key].data)
+
+    @pytest.mark.parametrize("split", ["train", "val"])
+    def test_empty_train_or_val_list_is_refused(self, split):
+        cfg = M.MILConfig(feature_dim=16, heads=2, epochs=1)
+        bags = planted_bags(cfg, n_per_class=1)
+        train, val = ([], bags) if split == "train" else (bags, [])
+        with pytest.raises(ContractViolation, match="one training bag and one val bag"):
+            M.train_mil(train, val, cfg)
 
     def test_deterministic_under_seed(self):
         cfg = M.MILConfig(feature_dim=16, heads=2, epochs=3, batch_size=8, seed=5)
@@ -427,7 +435,7 @@ class TestTrainMil:
     def test_mixed_instance_counts_are_refused(self):
         cfg = M.MILConfig(feature_dim=16, heads=2, epochs=1)
         bags = planted_bags(cfg, n_per_class=1) + [random_bag(cfg, i=5, seed=0)]
-        for call in (lambda: M.train_mil(bags, [], cfg),
+        for call in (lambda: M.train_mil(bags, bags, cfg),
                      lambda: M.train_mil(bags[:2], bags, cfg),
                      lambda: M.evaluate_bags(bags, make_params(cfg), cfg)):
             with pytest.raises(ContractViolation, match=r"counts \[4, 5\]"):
