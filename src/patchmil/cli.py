@@ -250,7 +250,7 @@ def cmd_train_mil(args) -> int:
         meta={
             "arch": dataclasses.asdict(arch),
             "mil": dataclasses.asdict(mil_cfg),
-            "backbone_checkpoint": str(args.checkpoint),
+            "backbone_checkpoint": str(Path(args.checkpoint).absolute()),
             "finetuned": args.finetune is not None,
         },
     )
@@ -272,6 +272,8 @@ def _load_mil_run(run_dir: str):
         backbone_params = _checked_group(groups, "student", bb.init_backbone(rng, arch), checkpoint)
     else:
         source = _checkpoint_item(meta, "backbone_checkpoint", "meta key", checkpoint)
+        if not isinstance(source, str):
+            raise FormatError(f"checkpoint {checkpoint} has a non-string 'backbone_checkpoint'")
         backbone_params, _ = _load_backbone(source)
     norm = None
     if "norm" in groups:

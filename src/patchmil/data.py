@@ -1,4 +1,4 @@
-"""Synthetic 7-class corpus, image tiling, and the on-disk tensor container.
+"""Synthetic 7-class corpus, image tiling, the on-disk tensor container, and checkpoints.
 
 The corpus stands in for multi-magnification stained-tissue photographs:
 each class renders a distinct procedural texture family (band-limited noise
@@ -11,7 +11,6 @@ so the bytes do not depend on which worker renders which image.
 
 from __future__ import annotations
 
-import io
 import json
 import math
 import os
@@ -38,11 +37,8 @@ SPLITS = ("train", "val", "test")
 # -- tensor container -------------------------------------------------------
 
 
-def write_tensor(path, array: np.ndarray, meta: dict | None = None) -> int:
-    """Write one tensor: magic, LE header length, JSON header, LE payload.
-
-    Returns the crc32 of the bytes written.
-    """
+def write_tensor(path, array: np.ndarray, meta: dict | None = None) -> None:
+    """Write one tensor: magic, LE header length, JSON header, LE payload."""
     array = np.asarray(array)
     header = {
         "version": FORMAT_VERSION,
@@ -53,11 +49,9 @@ def write_tensor(path, array: np.ndarray, meta: dict | None = None) -> int:
         header["meta"] = meta
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
     payload = array.astype(array.dtype.newbyteorder("<"), copy=False).tobytes(order="C")
-    head = MAGIC + struct.pack("<I", len(blob)) + blob
     with open(path, "wb") as fh:
-        fh.write(head)
+        fh.write(MAGIC + struct.pack("<I", len(blob)) + blob)
         fh.write(payload)
-    return zlib.crc32(payload, zlib.crc32(head))
 
 
 def _read_header(fh, path) -> dict:
@@ -83,10 +77,15 @@ def _read_header(fh, path) -> dict:
     if header.get("dtype") not in NUMERIC_DTYPES:  # a tuple: `in` hashes no JSON value
         raise FormatError(f"header in {path} has dtype {header.get('dtype')!r}, "
                           "not a bool, int or float type")
-    shape = header.get("shape")  # type(n) is int: a JSON true or 2.0 is no dimension
-    if not (isinstance(shape, list) and all(type(n) is int and n >= 0 for n in shape)):
+    shape = header.get("shape")
+    if not _is_shape(shape):
         raise FormatError(f"header in {path} has shape {shape!r}, not a list of non-negative ints")
     return header
+
+
+def _is_shape(shape) -> bool:
+    # type(n) is int: a JSON true or 2.0 is no dimension
+    return isinstance(shape, list) and all(type(n) is int and n >= 0 for n in shape)
 
 
 def tensor_shape(path) -> tuple:
@@ -95,20 +94,10 @@ def tensor_shape(path) -> tuple:
         return tuple(_read_header(fh, path)["shape"])
 
 
-def read_tensor(path, crc32: int | None = None):
-    """Read a container written by `write_tensor`; returns (array, header).
-
-    With `crc32`, the file's bytes must have that checksum, or FormatError;
-    the file is read once either way.
-    """
+def read_tensor(path):
+    """Read a container written by `write_tensor`; returns (array, header)."""
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
-        if crc32 is not None:  # parse the very bytes whose checksum was checked
-            raw = fh.read()
-            if zlib.crc32(raw) != crc32:
-                raise FormatError(f"checksum mismatch in {path}: its bytes do not have "
-                                  f"crc32 {crc32:08x}")
-            fh, size = io.BytesIO(raw), len(raw)
         header = _read_header(fh, path)
         shape = tuple(header["shape"])
         dtype = np.dtype(header["dtype"]).newbyteorder("<")
@@ -116,80 +105,85 @@ def read_tensor(path, crc32: int | None = None):
         left = size - fh.tell()
         if left != expected:  # checked before reading: a huge claimed shape allocates nothing
             raise FormatError(f"payload length mismatch in {path}: expected {expected}, got {left}")
-        payload = fh.read(expected)
-        try:
-            array = np.frombuffer(payload, dtype=dtype).reshape(shape)
-        except ValueError as exc:  # a zero-size shape with a dimension numpy cannot hold
-            raise FormatError(f"header in {path} has shape {list(shape)}: {exc}") from None
-        return np.ascontiguousarray(array.astype(dtype.newbyteorder("="))), header
+        return _from_bytes(fh.read(expected), header["dtype"], shape, path), header
+
+
+def _from_bytes(payload, dtype: str, shape, path) -> np.ndarray:
+    """A native-order copy of `payload`, the little-endian bytes of a `dtype` array of `shape`."""
+    dtype = np.dtype(dtype).newbyteorder("<")
+    try:
+        array = np.frombuffer(payload, dtype=dtype).reshape(shape)
+    except ValueError as exc:  # a zero-size shape with a dimension numpy cannot hold
+        raise FormatError(f"header in {path} has shape {list(shape)}: {exc}") from None
+    return np.ascontiguousarray(array.astype(dtype.newbyteorder("=")))
 
 
 # -- checkpoints ------------------------------------------------------------
 
 
 def save_checkpoint(path, groups: dict, meta: dict | None = None) -> None:
-    """Serialize named parameter groups (dicts of Tensors) under a directory.
+    """Write named parameter groups (dicts of Tensors) as one container at `path`.
 
-    The manifest is what makes a checkpoint loadable, so an old one is removed
-    before any tensor file is rewritten and the new one is moved into place
-    last: a save cut short leaves no checkpoint rather than a mixed one.
-    Tensor files the new manifest does not list are removed after it. The
-    manifest holds each tensor file's crc32 beside the groups and the meta.
+    Its payload is a uint8 array of every tensor's little-endian bytes, group
+    by group and by name within a group. Its header's meta is {"tensors":
+    [[group, name, dtype, shape], ...] in that order, "meta": meta, "crc32":
+    the payload's crc32}. The container is written to `path`.partial and
+    renamed over `path`, so a save cut short leaves the previous checkpoint.
     """
-    path = Path(path)
-    path.mkdir(parents=True, exist_ok=True)
-    (path / "manifest.json").unlink(missing_ok=True)
-    manifest = {"groups": {}, "crc32": {}, "meta": meta or {}}
+    tensors, chunks = [], []
     for group, params in groups.items():
-        names = sorted(params)
-        manifest["groups"][group] = names
-        for name in names:
-            value = params[name]
-            array = value.data if isinstance(value, T.Tensor) else np.asarray(value)
-            file = f"{group}__{name}.ftc"
-            manifest["crc32"][file] = write_tensor(path / file, array)
-    partial = path / "manifest.json.partial"
-    partial.write_text(json.dumps(manifest, indent=2, sort_keys=True))
-    os.replace(partial, path / "manifest.json")
-    for stale in path.glob("*.ftc"):  # left by an earlier save with more tensors
-        if stale.name not in manifest["crc32"]:
-            stale.unlink()
+        for name, value in sorted(params.items()):
+            array = np.asarray(value.data if isinstance(value, T.Tensor) else value)
+            tensors.append([group, name, array.dtype.name, list(array.shape)])
+            chunks.append(array.astype(array.dtype.newbyteorder("<"), copy=False).tobytes())
+    payload = np.frombuffer(b"".join(chunks), dtype=np.uint8)
+    partial = Path(f"{path}.partial")
+    write_tensor(partial, payload,
+                 meta={"tensors": tensors, "meta": meta or {}, "crc32": zlib.crc32(payload)})
+    os.replace(partial, path)
 
 
 def load_checkpoint(path):
-    """Load parameter groups back as dicts of non-gradient Tensors + metadata.
+    """Load a `save_checkpoint` file as (groups of non-gradient Tensors, meta).
 
-    Each tensor file must have the crc32 that the manifest lists for it; a
-    checkpoint saved before the manifest held checksums is refused.
+    Its uint8 payload must have the listed crc32 and split exactly into the
+    listed tensors, each (group, name) listed once, and its meta must be an
+    object; anything else, or a path that is no file (a checkpoint directory
+    of the earlier format, say), is a FormatError naming the path.
     """
     path = Path(path)
-    manifest_path = path / "manifest.json"
-    if not manifest_path.exists():
-        raise FormatError(f"no checkpoint manifest at {manifest_path}")
-    try:
-        manifest = json.loads(manifest_path.read_text())
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise FormatError(f"unparseable checkpoint manifest {manifest_path}: {exc}") from exc
-    listed = manifest.get("groups") if isinstance(manifest, dict) else None
-    if not isinstance(listed, dict) or not all(isinstance(v, list) for v in listed.values()):
-        raise FormatError(f"{manifest_path} is not an object with a 'groups' object of name lists")
-    for group, names in listed.items():
-        for part in (group, *names):
-            # names become file names inside the checkpoint directory
-            if not isinstance(part, str) or part in ("", ".", "..") or "/" in part or "\\" in part:
-                raise FormatError(f"bad group or tensor name {part!r} in {manifest_path}")
-    sums = manifest.get("crc32")
-    sums = sums if isinstance(sums, dict) else {}
-    groups = {}
-    for group, names in listed.items():
-        groups[group] = {}
-        for name in names:
-            file = f"{group}__{name}.ftc"
-            if type(sums.get(file)) is not int:
-                raise FormatError(f"{manifest_path} lists no crc32 for {file}")
-            array, _ = read_tensor(path / file, crc32=sums[file])
-            groups[group][name] = T.parameter(array, requires_grad=False)
-    return groups, manifest.get("meta", {})
+    if not path.is_file():
+        raise FormatError(f"no checkpoint file at {path}")
+    payload, header = read_tensor(path)
+    index = header.get("meta")
+    crc = index.get("crc32") if isinstance(index, dict) else None
+    if type(crc) is not int or payload.dtype != np.uint8:  # a JSON true is no checksum
+        raise FormatError(f"{path} is no checkpoint: no uint8 payload with an int crc32")
+    if zlib.crc32(payload) != crc:
+        raise FormatError(f"checksum mismatch in {path}: its payload does not have crc32 {crc:08x}")
+    tensors, meta = index.get("tensors"), index.get("meta")
+    if not (isinstance(tensors, list) and all(_is_entry(e) for e in tensors)):
+        raise FormatError(f"checkpoint {path} lists tensors not as [group, name, dtype, shape]")
+    if not isinstance(meta, dict):
+        raise FormatError(f"checkpoint {path} has no meta object")
+    sizes = [math.prod(shape) * np.dtype(dtype).itemsize for _, _, dtype, shape in tensors]
+    if sum(sizes) != payload.size:
+        raise FormatError(f"checkpoint {path} lists {sum(sizes)} tensor bytes, but its payload "
+                          f"has {payload.size}")
+    groups, offset = {}, 0
+    for (group, name, dtype, shape), size in zip(tensors, sizes):
+        if name in groups.setdefault(group, {}):
+            raise FormatError(f"checkpoint {path} lists tensor {name!r} of {group!r} twice")
+        array = _from_bytes(payload[offset:offset + size], dtype, shape, path)
+        groups[group][name] = T.parameter(array, requires_grad=False)
+        offset += size
+    return groups, meta
+
+
+def _is_entry(entry) -> bool:
+    """Whether `entry` is [group, name, dtype, shape] as `save_checkpoint` lists a tensor."""
+    return (isinstance(entry, list) and len(entry) == 4 and isinstance(entry[0], str)
+            and isinstance(entry[1], str) and entry[2] in NUMERIC_DTYPES and _is_shape(entry[3]))
 
 
 # -- corpus -----------------------------------------------------------------

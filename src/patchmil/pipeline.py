@@ -179,6 +179,8 @@ def finetune_mil(train, val, init_params: dict, arch: bb.ArchConfig, cfg: ML.MIL
     (encoder params, MIL params, history); the history records, also passed
     to `progress(record)`, have no train_acc.
     """
+    if not 0.0 <= lr < np.inf:  # a nan fails both comparisons
+        raise ConfigError(f"fine-tune lr must be finite and at least 0, got {lr}")
     cfg.validate()
     (patches, labels, positions), (val_patches, val_labels, val_positions) = train, val
     if cfg.batch_size > len(labels):  # no full batch: the fine-tune would take no step

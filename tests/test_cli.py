@@ -596,6 +596,22 @@ class TestMIL:
         evaluated = json.loads((tmp_path / "e.json").read_text())["mil[test]"]
         assert evaluated == saved
 
+    def test_evaluate_from_another_directory(self, corpus, pretrain_run, tmp_path, monkeypatch):
+        # a frozen run's meta names its encoder checkpoint by an absolute path
+        monkeypatch.chdir(pretrain_run.parent)
+        run = tmp_path / "r"
+        argv = ["train-mil", "--corpus", str(corpus), "--checkpoint",
+                f"{pretrain_run.name}/checkpoint", "--out", str(run), "--epochs", "1"]
+        assert main(argv) == 0
+        _, meta = D.load_checkpoint(run / "checkpoint")
+        assert meta["backbone_checkpoint"] == str(pretrain_run / "checkpoint")
+        monkeypatch.chdir(tmp_path)
+        json_path = tmp_path / "e.json"
+        assert main(["evaluate", "--corpus", str(corpus), "--mil-run", "r", "--json",
+                     str(json_path)]) == 0
+        saved = json.loads((run / "report.json").read_text())["mil"]
+        assert json.loads(json_path.read_text())["mil[test]"] == saved
+
     @staticmethod
     def _round_trip(corpus, pretrain_run, source, run) -> dict:
         """Rerun `source` from its config.json into `run`; returns that config."""
@@ -673,10 +689,12 @@ class TestMIL:
          "meta key 'mil' has no key 'heads'"),
         ("mil", lambda c: list(c), "meta key 'mil' is not an object"),
         ("arch", lambda c: dict(c, local_channels=8), "meta key 'arch' has a non-list 'local_channels'"),
+        ("backbone_checkpoint", lambda c: 3, "has a non-string 'backbone_checkpoint'"),
     ])
     def test_malformed_config_meta(self, corpus, mil_run, tmp_path, capsys, key, edit, message):
         groups, meta = D.load_checkpoint(mil_run / "checkpoint")
         meta[key] = edit(meta[key])
+        (tmp_path / "run").mkdir()
         D.save_checkpoint(tmp_path / "run" / "checkpoint", groups, meta=meta)
         argv = ["evaluate", "--corpus", str(corpus), "--mil-run", str(tmp_path / "run")]
         assert main(argv) == 1
@@ -699,6 +717,7 @@ class TestMIL:
         groups, meta = D.load_checkpoint(mil_run / "checkpoint")
         meta[key][field] = value
         checkpoint = tmp_path / "run" / "checkpoint"
+        checkpoint.parent.mkdir()
         D.save_checkpoint(checkpoint, groups, meta=meta)
         argv = ["evaluate", "--corpus", str(corpus), "--mil-run", str(tmp_path / "run")]
         assert main(argv) == 1
@@ -711,6 +730,7 @@ class TestMIL:
         # the MIL meta of a run saved while these were MILConfig fields
         groups, meta = D.load_checkpoint(mil_run / "checkpoint")
         meta["mil"].update(bias_radius=7, depth=1, lr=1e-3, normalize_bag=False, weight_decay=1e-4)
+        (tmp_path / "run").mkdir()
         D.save_checkpoint(tmp_path / "run" / "checkpoint", groups, meta=meta)
         argv = [command, "--corpus", str(corpus), "--mil-run", str(tmp_path / "run")]
         if command == "export-attention":
@@ -729,6 +749,7 @@ class TestMIL:
         groups, meta = D.load_checkpoint(mil_run / "checkpoint")
         meta["arch"].update(attn_blocks=2, heads=4, patchify=4, window=4)
         checkpoint = tmp_path / "run" / "checkpoint"
+        checkpoint.parent.mkdir()
         D.save_checkpoint(checkpoint, groups, meta=meta)
         if command == "evaluate":
             argv = [command, "--corpus", str(corpus), "--mil-run", str(tmp_path / "run")]
@@ -744,6 +765,7 @@ class TestMIL:
         heads = meta["mil"]["heads"]
         groups["mil"]["msa0_bias"] = np.zeros((heads, 7 * 7))  # a 3-offset bias table
         checkpoint = tmp_path / "run" / "checkpoint"
+        checkpoint.parent.mkdir()
         D.save_checkpoint(checkpoint, groups, meta=meta)
         argv = ["evaluate", "--corpus", str(corpus), "--mil-run", str(tmp_path / "run")]
         assert main(argv) == 1

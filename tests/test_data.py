@@ -3,6 +3,7 @@
 import json
 import re
 import struct
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 
 from patchmil import data as D
 from patchmil import tensor as T
+from patchmil.cli import main
 from patchmil.errors import ContractViolation, FormatError
 
 SMALL = D.CorpusConfig(counts=(6, 1, 3), magnifications=(10, 20), side=32, seed=7)
@@ -124,6 +126,18 @@ class TestTensorContainer:
             D.tensor_shape(path)
 
 
+# a hand-made checkpoint: one float64 tensor student/w = [1.5, -2.0]
+PAYLOAD = np.array([1.5, -2.0]).astype("<f8").view(np.uint8)
+ENTRY = ["student", "w", "float64", [2]]
+DROP = object()
+
+
+def checkpoint_index(**changes) -> dict:
+    """The header meta of the hand-made checkpoint, with `changes` (DROP deletes a key)."""
+    index = {"tensors": [ENTRY], "meta": {}, "crc32": zlib.crc32(PAYLOAD), **changes}
+    return {k: v for k, v in index.items() if v is not DROP}
+
+
 class TestCheckpoint:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(1)
@@ -137,86 +151,134 @@ class TestCheckpoint:
         np.testing.assert_array_equal(back["student"]["w"].data, groups["student"]["w"].data)
         assert not back["student"]["w"].requires_grad
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_mixed_dtypes_round_trip_bit_exact(self, tmp_path, dtype):
+        rng = np.random.default_rng(2)
+        groups = {
+            "student": {"f32": rng.normal(size=(2, 3)).astype(np.float32),
+                        "f64": rng.normal(size=4), "empty": np.zeros((0, 5)),
+                        "i64": rng.integers(-2**40, 2**40, size=3)},
+            "../g": {"a/b\\c": np.arange(3, dtype=np.int64)},  # names are no file names
+        }
+        D.save_checkpoint(tmp_path / "ckpt", groups, meta={"step": 3})
+        assert [p.name for p in tmp_path.iterdir()] == ["ckpt"]
+        # the payload holds each array's bytes, group by group and by name in a group
+        payload, header = D.read_tensor(tmp_path / "ckpt")
+        order = [(g, k) for g in groups for k in sorted(groups[g])]
+        assert payload.tobytes() == b"".join(groups[g][k].tobytes() for g, k in order)
+        assert header["meta"]["tensors"] == [
+            [g, k, groups[g][k].dtype.name, list(groups[g][k].shape)] for g, k in order]
+        with T.default_dtype(dtype):  # loaded as the parameters these arrays make
+            back, meta = D.load_checkpoint(tmp_path / "ckpt")
+            want = {g: {k: T.parameter(a) for k, a in params.items()}
+                    for g, params in groups.items()}
+        assert meta == {"step": 3}
+        assert {g: sorted(p) for g, p in back.items()} == {g: sorted(p) for g, p in want.items()}
+        for g, k in order:
+            got = back[g][k].data
+            assert got.dtype == dtype and got.shape == want[g][k].shape
+            assert got.tobytes() == want[g][k].data.tobytes()
+
     def test_missing_manifest(self, tmp_path):
-        with pytest.raises(FormatError):
-            D.load_checkpoint(tmp_path / "nope")
+        old = tmp_path / "old"  # a checkpoint directory of the earlier format
+        old.mkdir()
+        (old / "manifest.json").write_text('{"groups": {}, "crc32": {}, "meta": {}}')
+        for path in (tmp_path / "nope", old):
+            with pytest.raises(FormatError, match=re.escape(f"no checkpoint file at {path}")):
+                D.load_checkpoint(path)
 
     @pytest.mark.parametrize("k", [0, 1, 2])
-    def test_overwrite_cut_short_leaves_no_checkpoint(self, tmp_path, monkeypatch, k):
+    def test_overwrite_cut_short_keeps_the_previous_checkpoint(self, tmp_path, monkeypatch, k):
         ckpt = tmp_path / "ckpt"
         names = ("a", "b", "c")
-        D.save_checkpoint(ckpt, {"student": {n: T.parameter(np.zeros(2)) for n in names}})
-        write_tensor, written = D.write_tensor, []
+        D.save_checkpoint(ckpt, {"student": {n: T.parameter(np.zeros(2)) for n in names}},
+                          meta={"step": 1})
+        write_tensor = D.write_tensor
 
-        def fail_after_k(path, array):
-            if len(written) == k:
-                raise OSError("disk full")
-            written.append(path)
-            write_tensor(path, array)
+        def cut_short(path, array, meta):  # leaves none, half or all of the file written
+            write_tensor(path, array, meta)
+            with open(path, "r+b") as fh:
+                fh.truncate(path.stat().st_size * k // 2)
+            raise OSError("disk full")
 
-        monkeypatch.setattr(D, "write_tensor", fail_after_k)
-        with pytest.raises(OSError):
-            D.save_checkpoint(ckpt, {"student": {n: T.parameter(np.ones(2)) for n in names}})
-        with pytest.raises(FormatError):
-            D.load_checkpoint(ckpt)
+        monkeypatch.setattr(D, "write_tensor", cut_short)
+        with pytest.raises(OSError, match="disk full"):
+            D.save_checkpoint(ckpt, {"student": {n: T.parameter(np.ones(2)) for n in names}},
+                              meta={"step": 2})
+        back, meta = D.load_checkpoint(ckpt)
+        assert meta == {"step": 1}
+        assert all(back["student"][n].data.tolist() == [0.0, 0.0] for n in names)
         monkeypatch.undo()
-        D.save_checkpoint(ckpt, {"student": {n: T.parameter(np.ones(2)) for n in names}})
+        D.save_checkpoint(ckpt, {"student": {"a": T.parameter(np.ones(2))}})  # fewer tensors
         back, _ = D.load_checkpoint(ckpt)
-        assert all(back["student"][n].data.tolist() == [1.0, 1.0] for n in names)
-        assert sorted(p.name for p in ckpt.iterdir()) == ["manifest.json"] + [
-            f"student__{n}.ftc" for n in names
-        ]
-
-    def test_overwrite_with_fewer_tensors_removes_unlisted_files(self, tmp_path):
-        ckpt = tmp_path / "ckpt"
-        D.save_checkpoint(ckpt, {"student": {n: T.parameter(np.zeros(2)) for n in "abc"},
-                                 "teacher": {"a": T.parameter(np.zeros(2))}})
-        (ckpt / "notes.txt").write_text("kept")
-        D.save_checkpoint(ckpt, {"student": {"a": T.parameter(np.ones(2))}})
-        assert sorted(p.name for p in ckpt.iterdir()) == [
-            "manifest.json", "notes.txt", "student__a.ftc"
-        ]
-        back, _ = D.load_checkpoint(ckpt)
+        assert list(back) == ["student"] and list(back["student"]) == ["a"]
         assert back["student"]["a"].data.tolist() == [1.0, 1.0]
+        assert [p.name for p in tmp_path.iterdir()] == ["ckpt"]  # the partial file is renamed
 
     def test_flipped_payload_bit_is_refused(self, tmp_path):
         ckpt = tmp_path / "ckpt"
         D.save_checkpoint(ckpt, {"student": {"w": T.parameter(np.array([11.0], np.float32))}})
-        path = ckpt / "student__w.ftc"
-        raw = bytearray(path.read_bytes())
+        raw = bytearray(ckpt.read_bytes())
         raw[-3] ^= 0x40  # the float32 11.0 reads back as 11.015625
-        path.write_bytes(bytes(raw))
-        assert D.read_tensor(path)[0].tolist() == [11.015625]
-        with pytest.raises(FormatError, match=re.escape(f"checksum mismatch in {path}")):
+        ckpt.write_bytes(bytes(raw))
+        assert D.read_tensor(ckpt)[0].view("<f4").tolist() == [11.015625]
+        with pytest.raises(FormatError, match=re.escape(f"checksum mismatch in {ckpt}")):
             D.load_checkpoint(ckpt)
 
+    def test_hand_made_checkpoint_loads(self, tmp_path):
+        # each case of test_malformed_or_hostile_manifest changes one thing of this file
+        D.write_tensor(tmp_path / "ckpt", PAYLOAD, meta=checkpoint_index())
+        groups, meta = D.load_checkpoint(tmp_path / "ckpt")
+        assert groups["student"]["w"].data.tolist() == [1.5, -2.0] and meta == {}
+
     @pytest.mark.parametrize(
-        "manifest",
+        "index,payload",
         [
-            "{not json",
-            "[]",
-            '{"meta": {}}',
-            '{"groups": []}',
-            '{"groups": {"student": "w"}}',
-            '{"groups": {"/tmp/outside": ["w"]}}',
-            '{"groups": {"..": ["w"]}}',
-            '{"groups": {"student": ["../w"]}}',
-            '{"groups": {"student": ["a\\\\b"]}}',
-            '{"groups": {"student": [""]}}',
-            '{"groups": {"student": [3]}}',
-            '{"groups": {"student": ["w"]}, "meta": {}}',  # saved before checksums were
-            '{"groups": {"student": ["w"]}, "crc32": {"student__w.ftc": "0"}}',
+            ("{not json", PAYLOAD),  # a str is written as the whole header
+            ([ENTRY], PAYLOAD),
+            (checkpoint_index(tensors=DROP), PAYLOAD),
+            (checkpoint_index(tensors={"student": ["w"]}), PAYLOAD),
+            (checkpoint_index(tensors="w"), PAYLOAD),
+            (checkpoint_index(tensors=[["student", 3, "float64", [2]]]), PAYLOAD),
+            (checkpoint_index(crc32=DROP), PAYLOAD),
+            (checkpoint_index(crc32=str(zlib.crc32(PAYLOAD))), PAYLOAD),
+            (checkpoint_index(crc32=True), PAYLOAD),
+            (checkpoint_index(crc32=zlib.crc32(PAYLOAD) ^ 1), PAYLOAD),
+            (checkpoint_index(), PAYLOAD.view("<f8")),  # the same bytes and crc32
+            (checkpoint_index(tensors=[["student", "w", "object", [2]]]), PAYLOAD),
+            (checkpoint_index(tensors=[["student", "w", "float64"]]), PAYLOAD),
+            (checkpoint_index(tensors=[["student", "w", "float64", [-2]]]), PAYLOAD),
+            (checkpoint_index(tensors=[["student", "w", "float64", [2.0]]]), PAYLOAD),
+            (checkpoint_index(tensors=[["student", "w", "float64", [1]]] * 2), PAYLOAD),
+            (checkpoint_index(tensors=[["student", "w", "float64", [1]]]), PAYLOAD),
+            (checkpoint_index(tensors=[["student", "w", "float64", [3]]]), PAYLOAD),
+            (checkpoint_index(tensors=[["student", "w", "float64", [2**62, 4]]]), PAYLOAD),
+            (checkpoint_index(tensors=[ENTRY, ["student", "z", "float64", [0, 2**62]]]),
+             PAYLOAD),
+            (checkpoint_index(meta=3), PAYLOAD),
+            (checkpoint_index(meta=[]), PAYLOAD),
+            (checkpoint_index(meta=DROP), PAYLOAD),
         ],
-        ids=["not-json", "list", "no-groups", "groups-list", "names-string", "absolute-group",
-             "dotdot-group", "dotdot-name", "backslash-name", "empty-name", "int-name",
-             "no-checksums", "string-checksum"],
+        ids=["not-json", "list", "no-groups", "groups-list", "names-string", "int-name",
+             "no-checksums", "string-checksum", "bool-checksum", "wrong-checksum",
+             "float-payload", "object-dtype", "short-entry", "negative-dim", "float-dim",
+             "repeated-name", "too-few-bytes", "too-many-bytes", "wrapping-shape",
+             "zero-size-huge-shape", "int-meta", "list-meta", "no-meta"],
     )
-    def test_malformed_or_hostile_manifest(self, tmp_path, manifest):
+    def test_malformed_or_hostile_manifest(self, tmp_path, capsys, index, payload):
         ckpt = tmp_path / "ckpt"
-        D.save_checkpoint(ckpt, {"student": {"w": T.parameter(np.ones(2))}})
-        (ckpt / "manifest.json").write_text(manifest)
-        with pytest.raises(FormatError):
+        if isinstance(index, str):
+            head = index.encode()
+            ckpt.write_bytes(b"FPTC0001" + struct.pack("<I", len(head)) + head + payload.tobytes())
+        else:
+            D.write_tensor(ckpt, payload, meta=index)
+        with pytest.raises(FormatError, match=re.escape(str(ckpt))):
             D.load_checkpoint(ckpt)
+        argv = ["linear-probe", "--corpus", str(tmp_path), "--checkpoint", str(ckpt)]
+        assert main(argv) == 1
+        out = capsys.readouterr()  # one line of stderr, which names the file
+        assert out.out == "" and out.err.count("\n") == 1 and out.err.startswith("error: ")
+        assert str(ckpt) in out.err
 
 
 class TestCorpus:

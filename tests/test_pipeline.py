@@ -363,6 +363,12 @@ class TestFinetune:
             P.finetune_mil(*finetune_splits(tmp_path / "c"), params, ARCH,
                            dataclasses.replace(mil_cfg, epochs=1, batch_size=0))
 
+    @pytest.mark.parametrize("lr", [-1.0, np.nan, np.inf])
+    def test_bad_lr_is_config_error_before_any_work(self, params, lr):
+        mil_cfg = ML.MILConfig(feature_dim=ARCH.feature_dim, heads=2, seed=0)
+        with pytest.raises(ConfigError, match=f"lr must be finite and at least 0, got {lr}"):
+            P.finetune_mil(None, None, params, ARCH, mil_cfg, lr=lr)  # no splits are read
+
 
 class TestLinearProbe:
     def test_learns_separable_clusters(self):

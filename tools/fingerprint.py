@@ -164,12 +164,15 @@ def fingerprint_cli(fp, prefix, root: Path):
     fp.blob(f"{prefix}/cli/stdout", stdout.getvalue().replace(str(root), PLACEHOLDER).encode())
     for path in sorted(p for p in root.rglob("*") if p.is_file()):
         rel = path.relative_to(root).as_posix()
-        if path.suffix == ".ftc":
-            array = D.read_tensor(path)[0]
-            fp.blob(f"{prefix}/cli/{rel}", path.read_bytes(), {"array": array})
-        else:
-            text = path.read_bytes().replace(str(root).encode(), PLACEHOLDER.encode())
-            fp.blob(f"{prefix}/cli/{rel}", text)
+        data, arrays = path.read_bytes(), {}
+        if path.name == "checkpoint":  # one file; a MIL run's meta names its encoder's path
+            groups, _ = D.load_checkpoint(path)
+            arrays = {f"{g}__{k}": t.data for g, ts in groups.items() for k, t in ts.items()}
+        elif path.suffix == ".ftc":  # an image, or a tensor file of a checkpoint directory
+            arrays = {"array": D.read_tensor(path)[0]}
+        if path.suffix != ".ftc":
+            data = data.replace(str(root).encode(), PLACEHOLDER.encode())
+        fp.blob(f"{prefix}/cli/{rel}", data, arrays)
 
 
 def run(arrays_dir=None) -> dict:
